@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .oracle import OracleProblem, output_ensemble
+from .oracle import OracleProblem, build_grover, output_ensemble
 from .qstate import BitString, project_setting_subset, reduced_entropy
 
 MAX_LINEAR_WIDTH = 6
@@ -861,8 +861,8 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
     predicted = max(all_costs) if all_costs else None
 
     formula = reference = None
-    if problem.name == "grover":
-        n = problem.arg_bits
+    n = problem.arg_bits
+    if len(problem.settings) == 1 << n and problem.settings == build_grover(n).settings:
         if n % 2 == 0:
             formula = (1 << (n // 2)) - 1
             reference = math.ceil(math.pi / 4.0 * 2.0 ** (n / 2.0))

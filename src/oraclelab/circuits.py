@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .oracle import OracleProblem, build_grover, build_simon, evaluate
+from .oracle import OracleProblem, build_grover, build_simon
 from .qstate import (
     ATOL,
     BitString,
@@ -24,6 +24,7 @@ from .qstate import (
     PureState,
     RegisterLayout,
     apply_stage,
+    measure_register,
 )
 
 ORACLE_KINDS = ("oracle_xor", "oracle_phase")
@@ -50,89 +51,95 @@ class Stage:
         return None
 
     def unitary(self, layout: RegisterLayout, setting: BitString | None = None) -> np.ndarray:
-        if self.kind == "hadamard":
-            return _embed_single(layout, self.register, _hadamard(layout.width(self.register)))
-        if self.kind == "inversion_about_mean":
-            dim = 1 << layout.width(self.register)
-            return _embed_single(layout, self.register, 2.0 / dim * np.ones((dim, dim)) - np.eye(dim))
-        if self.kind == "permutation":
-            return _register_permutation(layout, self.register, lambda v: self.mapping[v])
-        if self.kind == "bitwise_not":
-            width = layout.width(self.register)
-            mask = (1 << width) - 1
-            return _register_permutation(layout, self.register, lambda v: v ^ mask)
-        if self.kind == "custom":
-            return _embed_single(layout, self.register, self.matrix)
-        if self.kind == "oracle_xor":
-            return self._oracle_xor_matrix(layout, setting)
-        if self.kind == "oracle_phase":
-            return self._oracle_phase_matrix(layout, setting)
-        raise ValueError(f"unknown stage kind {self.kind!r}")
+        """The stage matrix for one setting: the kernel applied to the identity columns."""
+        identity = np.eye(layout.state_dim)
+        return self.act(layout, identity, None if setting is None else (setting,)).T
 
-    def _oracle_xor_matrix(self, layout: RegisterLayout, setting: BitString | None) -> np.ndarray:
-        if setting is None:
-            raise ValueError("oracle stages need the branch setting")
-        arg_width = layout.width(self.register)
-        target_width = layout.width(self.target)
-        if target_width != self.problem.out_bits:
+    def act(
+        self,
+        layout: RegisterLayout,
+        rows: np.ndarray,
+        settings: Sequence[BitString] | None = None,
+    ) -> np.ndarray:
+        """Apply the stage to a batch of state vectors, one row per branch.
+
+        The rows, of shape (branches, state_dim), are viewed as
+        (branches, *register dims) in layout order, and the stage acts on its
+        register's axis with one numpy operation for the whole batch.  Oracle
+        kinds read one setting per row; a single setting serves every row.
+        """
+        if self.setting_relabel(layout) is not None:
+            raise ValueError(f"stage {self.label!r} relabels settings and has no state matrix")
+        view = rows.reshape((len(rows),) + layout.state_shape)
+        axis = 1 + layout.axis(self.register)
+        dim = view.shape[axis]
+        if self.kind in ("hadamard", "inversion_about_mean", "custom"):
+            # the block multiplies the register axis, the axes after it merged into one
+            out = np.matmul(self._block(dim), view.reshape(view.shape[: axis + 1] + (-1,)))
+        elif self.kind == "permutation":
+            if len(self.mapping) != dim:
+                raise ValueError(f"permutation {self.label!r} has {len(self.mapping)} values, register {dim}")
+            out = np.take(view, np.argsort(self.mapping), axis=axis)
+        elif self.kind == "bitwise_not":
+            out = np.flip(view, axis)  # v -> v ^ (dim - 1) reverses the value order
+        elif self.kind == "oracle_xor":
+            out = self._oracle_xor(layout, view, axis, self._table(layout, settings))
+        elif self.kind == "oracle_phase":
+            table = self._table(layout, settings)
+            if self.problem.out_bits != 1:
+                raise ValueError("phase oracle requires a one-bit function")
+            out = view * np.expand_dims(1 - 2 * table, _other_axes(view, axis))
+        else:
+            raise ValueError(f"unknown stage kind {self.kind!r}")
+        return out.reshape(rows.shape)
+
+    def _block(self, dim: int) -> np.ndarray:
+        if self.kind == "hadamard":
+            return _hadamard(dim)
+        if self.kind == "inversion_about_mean":
+            return 2.0 / dim - np.eye(dim)
+        return self.matrix
+
+    def _oracle_xor(self, layout: RegisterLayout, view: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray:
+        target_axis = 1 + layout.axis(self.target)
+        if target_axis == axis:
+            raise ValueError(f"oracle {self.label!r} needs distinct argument and target registers")
+        width = layout.width(self.target)
+        if width != self.problem.out_bits:
             raise ValueError(
-                f"oracle target {self.target!r} has width {target_width}, "
+                f"oracle target {self.target!r} has width {width}, "
                 f"function outputs {self.problem.out_bits} bits"
             )
-        dim = layout.state_dim
-        matrix = np.zeros((dim, dim))
-        for i in range(dim):
-            a = layout.extract(self.register, i)
-            v = layout.extract(self.target, i)
-            out = evaluate(self.problem, setting, BitString(a, arg_width)).value
-            matrix[layout.replace(self.target, i, v ^ out), i] = 1.0
-        return matrix
+        # new[.., a, .., u, ..] = old[.., a, .., u ^ f(a), ..]
+        source = table[:, :, None] ^ np.arange(1 << width)
+        if target_axis < axis:
+            source = source.swapaxes(1, 2)
+        source = np.expand_dims(source, _other_axes(view, axis, target_axis))
+        return np.take_along_axis(view, source, axis=target_axis)
 
-    def _oracle_phase_matrix(self, layout: RegisterLayout, setting: BitString | None) -> np.ndarray:
-        if setting is None:
+    def _table(self, layout: RegisterLayout, settings: Sequence[BitString] | None) -> np.ndarray:
+        """f_b(a) as ints, one row per setting."""
+        if settings is None:
             raise ValueError("oracle stages need the branch setting")
-        if self.problem.out_bits != 1:
-            raise ValueError("phase oracle requires a one-bit function")
         arg_width = layout.width(self.register)
-        dim = layout.state_dim
-        diag = np.ones(dim)
-        for i in range(dim):
-            a = layout.extract(self.register, i)
-            if evaluate(self.problem, setting, BitString(a, arg_width)).value:
-                diag[i] = -1.0
-        return np.diag(diag)
+        if arg_width != self.problem.arg_bits:
+            raise ValueError(f"argument width {arg_width} != arg_bits {self.problem.arg_bits}")
+        return np.array([[entry.value for entry in self.problem.setting(b).table] for b in settings])
+
+
+def _other_axes(view: np.ndarray, *kept: int) -> tuple[int, ...]:
+    """The register axes of the view other than the kept ones."""
+    return tuple(i for i in range(1, view.ndim) if i not in kept)
 
 
 @functools.lru_cache(maxsize=16)
-def _hadamard(width: int) -> np.ndarray:
-    dim = 1 << width
-    scale = 1.0 / np.sqrt(dim)
-    h = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            h[i, j] = scale * (-1.0) ** bin(i & j).count("1")
+def _hadamard(dim: int) -> np.ndarray:
+    h = np.array([[1.0]])
+    while len(h) < dim:
+        h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]])
+    h /= np.sqrt(dim)
     h.setflags(write=False)
     return h
-
-
-def _embed_single(layout: RegisterLayout, register: str, block: np.ndarray) -> np.ndarray:
-    layout.width(register)  # raises for unknown names
-    matrix = np.array([[1.0]])
-    for name, width in layout.state_registers:
-        factor = block if name == register else np.eye(1 << width)
-        matrix = np.kron(matrix, factor)
-    return matrix
-
-
-def _register_permutation(
-    layout: RegisterLayout, register: str, value_map: Callable[[int], int]
-) -> np.ndarray:
-    dim = layout.state_dim
-    matrix = np.zeros((dim, dim))
-    for i in range(dim):
-        v = layout.extract(register, i)
-        matrix[layout.replace(register, i, value_map(v)), i] = 1.0
-    return matrix
 
 
 def hadamard(register: str = "A") -> Stage:
@@ -254,8 +261,6 @@ def composed_unitary(circuit: Circuit, setting: BitString) -> np.ndarray:
     """Product of all stage matrices for one setting (last stage leftmost)."""
     matrix = np.eye(circuit.layout.state_dim, dtype=np.complex128)
     for stage in circuit.stages:
-        if stage.setting_relabel(circuit.layout) is not None:
-            raise ValueError(f"stage {stage.label!r} relabels settings and has no state matrix")
         matrix = stage.unitary(circuit.layout, setting) @ matrix
     return matrix
 
@@ -318,20 +323,14 @@ def derive_a_outcome(circuit: Circuit, problem: OracleProblem, b: BitString) -> 
     """
     problem.setting(b)
     branch = BranchEnsemble(circuit.layout, (Branch(b, 1.0, initial_state(circuit)),))
-    final = run(circuit, branch).final.branches[0].state
-    layout = circuit.layout
-    width = layout.width("A")
-    probs = np.zeros(1 << width)
-    amplitudes = np.abs(final.amplitudes) ** 2
-    for i, p in enumerate(amplitudes):
-        probs[layout.extract("A", i)] += p
-    best = int(np.argmax(probs))
-    if abs(probs[best] - 1.0) > ATOL:
+    dist = measure_register(run(circuit, branch).final, "A")
+    best, p = max(dist.entries, key=lambda e: e[1])
+    if abs(p - 1.0) > ATOL:
         raise ValueError(
             f"output state of register A is not sharp for setting {b.text} "
-            f"(largest outcome probability {probs[best]:.6f})"
+            f"(largest outcome probability {p:.6f})"
         )
-    return BitString(best, width)
+    return best
 
 
 def trace_records(trace: StageTrace, threshold: float = 1e-12) -> list[dict]:

@@ -55,11 +55,7 @@ def enumerate_histories(
     """
     problem.setting(b)
     layout = circuit.layout
-    matrices = []
-    for stage in circuit.stages:
-        if stage.setting_relabel(layout) is not None:
-            raise ValueError(f"stage {stage.label!r} relabels settings; histories need state unitaries")
-        matrices.append(stage.unitary(layout, b))
+    matrices = [stage.unitary(layout, b) for stage in circuit.stages]
     if v_branch == "both":
         v_values: Sequence[int] = (0, 1)
     elif v_branch in (0, 1):

@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .qstate import Branch, BranchEnsemble, BitString, PureState, RegisterLayout
+from .qstate import MAX_TOTAL_WIDTH, Branch, BranchEnsemble, BitString, PureState, RegisterLayout
 
 FAMILIES = ("cells", "linear")
 
@@ -224,6 +224,12 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ProblemFormatError(f"{path}: {message}")
 
 
+def _require_int(data: dict, key: str, low: int, high: int) -> None:
+    value = data[key]
+    in_range = isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+    _require(in_range, key, f"expected an integer from {low} to {high}, got {value!r}")
+
+
 def load_problem(document: str) -> OracleProblem:
     """Parse and validate a JSON problem document; errors carry field paths."""
     try:
@@ -234,8 +240,8 @@ def load_problem(document: str) -> OracleProblem:
     for key in ("name", "arg_bits", "out_bits", "settings"):
         _require(key in data, key, "missing required field")
     _require(isinstance(data["name"], str) and data["name"] != "", "name", "expected nonempty text")
-    _require(isinstance(data["arg_bits"], int), "arg_bits", "expected an integer")
-    _require(isinstance(data["out_bits"], int), "out_bits", "expected an integer")
+    _require_int(data, "arg_bits", 1, MAX_TOTAL_WIDTH)
+    _require_int(data, "out_bits", 1, data["arg_bits"])
     family = data.get("family", "cells")
     _require(family in FAMILIES, "family", f"expected one of {FAMILIES}, got {family!r}")
     raw_settings = data["settings"]
@@ -283,6 +289,7 @@ def load_problem(document: str) -> OracleProblem:
         solution = raw["solution"]
         _require(isinstance(solution, str) and solution != "", f"{path}.solution", "expected nonempty text")
         outcome_raw = raw.get("a_outcome", solution)
+        _require(isinstance(outcome_raw, str), f"{path}.a_outcome", "expected a bit string")
         try:
             outcome = BitString.from_text(outcome_raw)
         except ValueError as exc:

@@ -13,6 +13,7 @@ Comparisons use an absolute tolerance of ``ATOL`` unless stated otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
@@ -107,7 +108,7 @@ class RegisterLayout:
     def total_width(self) -> int:
         return sum(width for _, width in self.registers)
 
-    @property
+    @functools.cached_property
     def state_registers(self) -> tuple[tuple[str, int], ...]:
         return tuple((n, w) for n, w in self.registers if n != self.setting_register)
 
@@ -118,6 +119,18 @@ class RegisterLayout:
     @property
     def state_dim(self) -> int:
         return 1 << self.state_width
+
+    @functools.cached_property
+    def state_shape(self) -> tuple[int, ...]:
+        """Register dimensions of a state vector viewed as a tensor, in layout order."""
+        return tuple(1 << w for _, w in self.state_registers)
+
+    def axis(self, name: str) -> int:
+        """Position of a state register among the axes of ``state_shape``."""
+        for i, (n, _) in enumerate(self.state_registers):
+            if n == name:
+                return i
+        raise ValueError(f"unknown register {name!r}")
 
     def width(self, name: str) -> int:
         for n, w in self.registers:
@@ -230,14 +243,11 @@ class BranchEnsemble:
     """A classical mixture of setting-labeled pure states.
 
     Branches are kept in canonical order (ascending setting value) and their
-    weights sum to one.  The optional ``phases`` attach one sampled phase per
-    branch for the Monte-Carlo validation mode; the primary operations neither
-    need nor preserve them.
+    weights sum to one.
     """
 
     layout: RegisterLayout
     branches: tuple[Branch, ...]
-    phases: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.layout.setting_register is None:
@@ -246,9 +256,6 @@ class BranchEnsemble:
             raise ValueError("ensemble needs at least one branch")
         order = sorted(range(len(self.branches)), key=lambda i: self.branches[i].setting.value)
         branches = tuple(self.branches[i] for i in order)
-        phases = None if self.phases is None else tuple(self.phases[i] for i in order)
-        if phases is not None and len(phases) != len(branches):
-            raise ValueError("need exactly one phase per branch")
         setting_width = self.layout.width(self.layout.setting_register)
         state_layout = self.layout.state_only()
         seen = set()
@@ -269,7 +276,6 @@ class BranchEnsemble:
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"branch weights sum to {total!r}, not 1")
         object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "phases", phases)
 
     @classmethod
     def uniform(
@@ -287,9 +293,6 @@ class BranchEnsemble:
             if br.setting == setting:
                 return br
         raise ValueError(f"setting {setting} not present in the ensemble")
-
-    def with_phases(self, phases: Sequence[float]) -> "BranchEnsemble":
-        return BranchEnsemble(self.layout, self.branches, tuple(float(p) for p in phases))
 
 
 @dataclass(frozen=True)
@@ -324,6 +327,12 @@ class OutcomeDistribution:
         return {o.text: p for o, p in self.entries}
 
 
+def _tensor(ensemble: BranchEnsemble) -> np.ndarray:
+    """The branch states stacked and viewed as (branches, *register dims) in layout order."""
+    rows = np.stack([br.state.amplitudes for br in ensemble.branches])
+    return rows.reshape((len(rows),) + ensemble.layout.state_shape)
+
+
 @runtime_checkable
 class StageLike(Protocol):
     """What :func:`apply_stage` needs from a circuit stage."""
@@ -334,30 +343,34 @@ class StageLike(Protocol):
         self, layout: RegisterLayout
     ) -> Callable[[BitString], BitString] | None: ...
 
-    def unitary(self, layout: RegisterLayout, setting: BitString | None) -> np.ndarray: ...
+    def act(
+        self, layout: RegisterLayout, rows: np.ndarray, settings: Sequence[BitString] | None
+    ) -> np.ndarray: ...
 
 
 def apply_stage(ensemble: BranchEnsemble, stage: StageLike) -> BranchEnsemble:
     """Apply one stage to every branch.
 
-    Ordinary stages act on the state registers only; the per-branch unitary may
-    depend on the branch setting (oracle stages read it).  The designated
-    preparation stage on the setting register relabels branches instead.
-    Raises if a stage drifts branch norms by more than ``ATOL``.
+    Ordinary stages act on the state registers only, on all branches at once;
+    the action may depend on the branch setting (oracle stages read it).  The
+    designated preparation stage on the setting register relabels branches
+    instead.  Raises if a stage drifts any branch norm by more than ``ATOL``.
     """
     relabel = stage.setting_relabel(ensemble.layout)
     if relabel is not None:
         branches = tuple(Branch(relabel(br.setting), br.weight, br.state) for br in ensemble.branches)
         return BranchEnsemble(ensemble.layout, branches)
-    out = []
-    for br in ensemble.branches:
-        matrix = stage.unitary(ensemble.layout, br.setting)
-        amps = matrix @ br.state.amplitudes
-        drift = abs(np.linalg.norm(amps) - np.linalg.norm(br.state.amplitudes))
-        if drift > ATOL:
-            raise ValueError(f"stage {stage.label!r} is not norm-preserving (drift {drift:.3e})")
-        out.append(Branch(br.setting, br.weight, PureState(br.state.layout, amps)))
-    return BranchEnsemble(ensemble.layout, tuple(out))
+    before = np.stack([br.state.amplitudes for br in ensemble.branches])
+    after = stage.act(ensemble.layout, before, ensemble.settings())
+    drift = float(np.max(np.abs(np.linalg.norm(after, axis=1) - np.linalg.norm(before, axis=1))))
+    if drift > ATOL:
+        raise ValueError(f"stage {stage.label!r} is not norm-preserving (drift {drift:.3e})")
+    state_layout = ensemble.branches[0].state.layout
+    branches = tuple(
+        Branch(br.setting, br.weight, PureState(state_layout, amps))
+        for br, amps in zip(ensemble.branches, after)
+    )
+    return BranchEnsemble(ensemble.layout, branches)
 
 
 def prepare_setting(ensemble: BranchEnsemble, outcome: BitString) -> BranchEnsemble:
@@ -393,36 +406,39 @@ def measure_register(ensemble: BranchEnsemble, *registers: str) -> OutcomeDistri
     if not registers:
         raise ValueError("need at least one register to measure")
     layout = ensemble.layout
-    widths = [layout.width(name) for name in registers]
-    acc: dict[int, float] = {}
-    for br in ensemble.branches:
-        probs = np.abs(br.state.amplitudes) ** 2
-        for idx in np.nonzero(probs > 1e-15)[0]:
-            value = 0
-            for name, width in zip(registers, widths):
-                if name == layout.setting_register:
-                    part = br.setting.value
-                else:
-                    part = layout.extract(name, int(idx))
-                value = (value << width) | part
-            acc[value] = acc.get(value, 0.0) + br.weight * float(probs[idx])
-    total_width = sum(widths)
-    entries = tuple(
-        (BitString(value, total_width), p) for value, p in acc.items() if p > 1e-15
-    )
-    return OutcomeDistribution(entries)
+    probs = np.abs(_tensor(ensemble)) ** 2
+    probs *= _along([br.weight for br in ensemble.branches], 0, probs.ndim)
+    # sum over the unmeasured axes; the branch axis stands for the setting register
+    kept = {0 if n == layout.setting_register else 1 + layout.axis(n) for n in registers}
+    probs = probs.sum(axis=tuple(i for i in range(probs.ndim) if i not in kept), keepdims=True)
+    # every remaining cell has its own outcome value, built register by register
+    values = np.zeros(probs.shape, dtype=np.int64)
+    total_width = 0
+    for name in registers:
+        width = layout.width(name)
+        if name == layout.setting_register:
+            part = _along([br.setting.value for br in ensemble.branches], 0, probs.ndim)
+        else:
+            part = _along(np.arange(1 << width), 1 + layout.axis(name), probs.ndim)
+        values = (values << width) | part
+        total_width += width
+    nonzero = probs > 1e-15
+    return OutcomeDistribution(tuple(
+        (BitString(v, total_width), p) for v, p in zip(values[nonzero].tolist(), probs[nonzero].tolist())
+    ))
+
+
+def _along(values, axis: int, ndim: int) -> np.ndarray:
+    """The values laid along one axis of an ndim-dimensional array, to broadcast against it."""
+    return np.reshape(values, [-1 if i == axis else 1 for i in range(ndim)])
 
 
 def _reduced_density(ensemble: BranchEnsemble, register: str) -> np.ndarray:
-    layout = ensemble.layout
-    names = [n for n, _ in layout.state_registers]
-    axis = names.index(register)
-    dim = 1 << layout.width(register)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    shape = [1 << w for _, w in layout.state_registers]
+    shape = ensemble.layout.state_shape
+    axis = ensemble.layout.axis(register)
+    rho = np.zeros((shape[axis], shape[axis]), dtype=np.complex128)
     for br in ensemble.branches:
-        tensor = br.state.amplitudes.reshape(shape)
-        kept = np.moveaxis(tensor, axis, 0).reshape(dim, -1)
+        kept = np.moveaxis(br.state.amplitudes.reshape(shape), axis, 0).reshape(shape[axis], -1)
         rho += br.weight * (kept @ kept.conj().T)
     return rho
 
@@ -453,44 +469,21 @@ def shannon_entropy(dist: OutcomeDistribution) -> float:
     return total
 
 
-def _full_index(layout: RegisterLayout, setting: BitString, state_index: int) -> int:
-    index = 0
-    for name, width in layout.registers:
-        if name == layout.setting_register:
-            part = setting.value
-        else:
-            part = layout.extract(name, state_index)
-        index = (index << width) | part
-    return index
+def _joint_rows(ensemble: BranchEnsemble) -> np.ndarray:
+    """One joint vector |b>|psi_b> over all registers per branch, setting included."""
+    layout = ensemble.layout
+    tensor = _tensor(ensemble)
+    settings = [br.setting.value for br in ensemble.branches]
+    onehot = np.eye(1 << layout.width(layout.setting_register))[settings]
+    joint = np.einsum("rs,r...->rs...", onehot, tensor)
+    return np.moveaxis(joint, 1, 1 + layout.names.index(layout.setting_register)).reshape(len(tensor), -1)
 
 
 def density_matrix(ensemble: BranchEnsemble) -> np.ndarray:
     """Exact joint density operator over all registers, setting included."""
-    layout = ensemble.layout
-    dim = 1 << layout.total_width
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for br in ensemble.branches:
-        vec = np.zeros(dim, dtype=np.complex128)
-        for idx, amp in enumerate(br.state.amplitudes):
-            if amp != 0:
-                vec[_full_index(layout, br.setting, idx)] = amp
-        rho += br.weight * np.outer(vec, vec.conj())
-    return rho
-
-
-def phased_vector(ensemble: BranchEnsemble) -> np.ndarray:
-    """Joint pure vector sum(sqrt(w_b) e^{i phi_b} |b>|psi_b>) from the attached phases."""
-    if ensemble.phases is None:
-        raise ValueError("ensemble carries no sampled phases")
-    layout = ensemble.layout
-    dim = 1 << layout.total_width
-    vec = np.zeros(dim, dtype=np.complex128)
-    for br, phase in zip(ensemble.branches, ensemble.phases):
-        factor = math.sqrt(br.weight) * np.exp(1j * phase)
-        for idx, amp in enumerate(br.state.amplitudes):
-            if amp != 0:
-                vec[_full_index(layout, br.setting, idx)] = factor * amp
-    return vec
+    rows = _joint_rows(ensemble)
+    weights = np.array([br.weight for br in ensemble.branches])
+    return (rows.T * weights) @ rows.conj()
 
 
 def sampled_phase_density(ensemble: BranchEnsemble, samples: int = 10_000, seed: int = 0) -> np.ndarray:
@@ -502,17 +495,10 @@ def sampled_phase_density(ensemble: BranchEnsemble, samples: int = 10_000, seed:
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    layout = ensemble.layout
-    dim = 1 << layout.total_width
     rng = np.random.default_rng(seed)
-    vectors = np.zeros((samples, dim), dtype=np.complex128)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(samples, len(ensemble.branches)))
-    for k, br in enumerate(ensemble.branches):
-        block = np.zeros(dim, dtype=np.complex128)
-        for idx, amp in enumerate(br.state.amplitudes):
-            if amp != 0:
-                block[_full_index(layout, br.setting, idx)] = amp
-        vectors += math.sqrt(br.weight) * np.exp(1j * phases[:, k])[:, None] * block[None, :]
+    weights = np.array([br.weight for br in ensemble.branches])
+    vectors = (np.sqrt(weights) * np.exp(1j * phases)) @ _joint_rows(ensemble)
     return vectors.T @ vectors.conj() / samples
 
 

@@ -134,3 +134,96 @@ def plain_minimax_cost(tables: dict[str, tuple[int, ...]], solutions: dict[str, 
     if best is None:
         raise AssertionError("indistinguishable candidates")
     return best
+
+
+def reference_stage_matrix(
+    registers, setting_register, kind, register, target=None, table=None, mapping=None, matrix=None
+):
+    """A stage matrix built one basis index at a time, straight from the definitions.
+
+    ``registers`` lists (name, width) pairs in layout order; the setting
+    register is left out of the state.  State basis indices are register-major
+    and big-endian, the last register in the least significant bits.
+    ``table`` holds f_b(a) for the branch setting.  Column i is the image of
+    basis state i.
+    """
+    state = [(name, width) for name, width in registers if name != setting_register]
+    shifts = {}
+    shift = 0
+    for name, width in reversed(state):
+        shifts[name] = (shift, width)
+        shift += width
+    dim = 1 << shift
+
+    def get(index, name):
+        s, w = shifts[name]
+        return (index >> s) & ((1 << w) - 1)
+
+    def put(index, name, value):
+        s, w = shifts[name]
+        return (index & ~(((1 << w) - 1) << s)) | (value << s)
+
+    d = 1 << shifts[register][1]
+    if kind == "hadamard":
+        block = [[(-1) ** bin(x & y).count("1") / np.sqrt(d) for y in range(d)] for x in range(d)]
+    elif kind == "inversion_about_mean":
+        block = [[2.0 / d - (x == y) for y in range(d)] for x in range(d)]
+    else:
+        block = matrix
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(dim):
+        v = get(i, register)
+        if kind in ("hadamard", "inversion_about_mean", "custom"):
+            for w in range(d):
+                out[put(i, register, w), i] = block[w][v]
+        elif kind == "permutation":
+            out[put(i, register, mapping[v]), i] = 1.0
+        elif kind == "bitwise_not":
+            out[put(i, register, v ^ (d - 1)), i] = 1.0
+        elif kind == "oracle_xor":
+            out[put(i, target, get(i, target) ^ table[v]), i] = 1.0
+        elif kind == "oracle_phase":
+            out[i, i] = (-1.0) ** table[v]
+        else:
+            raise AssertionError(f"unknown kind {kind}")
+    return out
+
+
+def _register_values(registers, setting_register, setting, index):
+    """Per-register values of one state basis index, the setting register reading ``setting``."""
+    values = {}
+    for name, width in reversed(registers):
+        if name == setting_register:
+            values[name] = setting
+        else:
+            values[name] = index & ((1 << width) - 1)
+            index >>= width
+    return values
+
+
+def reference_outcomes(registers, setting_register, branches, measured):
+    """Born-rule distribution of the measured registers, one basis index at a time.
+
+    ``branches`` holds (setting value, weight, amplitudes) triples; outcomes
+    are the measured registers' bit texts concatenated in the given order.
+    """
+    widths = dict(registers)
+    probs = {}
+    for setting, weight, amplitudes in branches:
+        for index, amp in enumerate(amplitudes):
+            values = _register_values(registers, setting_register, setting, index)
+            text = "".join(format(values[name], f"0{widths[name]}b") for name in measured)
+            probs[text] = probs.get(text, 0.0) + weight * abs(amp) ** 2
+    return {text: p for text, p in probs.items() if p > 1e-15}
+
+
+def reference_joint_vector(registers, setting_register, setting, amplitudes):
+    """The joint vector |b>|psi> over all registers in layout order, setting included."""
+    out = np.zeros(1 << sum(w for _, w in registers), dtype=np.complex128)
+    for index, amp in enumerate(amplitudes):
+        values = _register_values(registers, setting_register, setting, index)
+        joint = 0
+        for name, width in registers:
+            joint = (joint << width) | values[name]
+        out[joint] = amp
+    return out

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -278,6 +279,27 @@ class TestPredict:
 
     def test_search_reference_counts(self, grover2):
         report = akrule.predict_queries(grover2)
+        assert report.grover_formula_queries == 1
+        assert report.grover_reference_queries == 2
+
+    def test_search_formula_keyed_on_tables(self):
+        tables = {"00": "0001", "01": "0011", "10": "0111", "11": "1111"}
+        doc = {
+            "name": "grover",
+            "arg_bits": 2,
+            "out_bits": 1,
+            "settings": [
+                {"id": b, "table": list(table), "solution": b} for b, table in tables.items()
+            ],
+        }
+        report = akrule.predict_queries(ol.load_problem(json.dumps(doc)))
+        assert report.grover_formula_queries is None
+        assert report.grover_reference_queries is None
+
+    def test_search_formula_for_renamed_search_problem(self):
+        doc = json.loads(ol.serialize_problem(ol.build_grover(2)))
+        doc["name"] = "hidden-index"
+        report = akrule.predict_queries(ol.load_problem(json.dumps(doc)))
         assert report.grover_formula_queries == 1
         assert report.grover_reference_queries == 2
 

@@ -108,6 +108,22 @@ class TestPredict:
         assert code == 0
         assert json.loads(out)["predicted_queries"] == 1
 
+    def test_malformed_file_problem(self, capsys, tmp_path):
+        doc = {
+            "name": "tiny",
+            "arg_bits": 1,
+            "out_bits": 1,
+            "settings": [
+                {"id": "0", "table": ["1", "0"], "solution": "0", "a_outcome": 5},
+                {"id": "1", "table": ["0", "1"], "solution": "1"},
+            ],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "predict", "--problem", f"file:{path}")
+        assert code == 2
+        assert "settings[0].a_outcome" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "predict", "--problem", "file:/no/such/file.json")
         assert code == 2

@@ -1,0 +1,281 @@
+"""The register-axis stage kernel against per-basis-index reference matrices.
+
+Random small layouts put the setting register first, in the middle or last,
+and the oracle's argument register before or after its target, so that an
+axis-order mistake in the kernel shows up as a mismatch.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+import oraclelab as ol
+from oraclelab import circuits
+from oraclelab.oracle import OracleProblem, Setting
+from oraclelab.qstate import ATOL, BitString, Branch, BranchEnsemble, PureState, RegisterLayout
+
+from reference_tables import reference_joint_vector, reference_outcomes, reference_stage_matrix
+
+POSITIONS = ("first", "middle", "last")
+
+
+@dataclass
+class Case:
+    layout: RegisterLayout
+    settings: tuple[BitString, ...]
+    stages: tuple[circuits.Stage, ...]
+    problem: OracleProblem
+
+
+def random_problem(rng, settings, arg_bits, out_bits):
+    chosen = []
+    for b in settings:
+        table = tuple(BitString(int(v), out_bits) for v in rng.integers(0, 1 << out_bits, size=1 << arg_bits))
+        chosen.append(Setting(b, table, b.text, b))
+    return OracleProblem("random", arg_bits, out_bits, tuple(chosen), "cells")
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def make_case(seed, position, arg_first, count=None):
+    """A layout of 2-4 registers, widths 1-3, with the requested setting and oracle order.
+
+    With a single state register the xor oracle has no target and is left out.
+    """
+    rng = np.random.default_rng(seed)
+    count = count or int(rng.integers(3, 5))
+    widths = [int(w) for w in rng.integers(1, 4, size=count)]
+    names = [f"R{i}" for i in range(count)]
+    if position == "middle":
+        setting_index = int(rng.integers(1, count - 1))
+    else:
+        setting_index = 0 if position == "first" else count - 1
+    state = [i for i in range(count) if i != setting_index]
+    p, q = sorted(rng.choice(state, size=2, replace=False)) if len(state) > 1 else (state[0], state[0])
+    arg, target = (p, q) if arg_first else (q, p)
+    widths[arg], widths[target] = max(widths[p], widths[q]), min(widths[p], widths[q])
+    layout = RegisterLayout(tuple(zip(names, widths)), names[setting_index])
+
+    sw = widths[setting_index]
+    ids = rng.choice(1 << sw, size=int(rng.integers(1, (1 << sw) + 1)), replace=False)
+    settings = tuple(BitString(int(v), sw) for v in sorted(ids))
+    problem = random_problem(rng, settings, widths[arg], widths[target])
+    one_bit = random_problem(rng, settings, widths[arg], 1)
+
+    def pick():
+        return names[int(rng.choice(state))]
+
+    custom_reg, perm_reg = pick(), pick()
+    stages = (
+        circuits.hadamard(pick()),
+        circuits.inversion_about_mean(pick()),
+        circuits.custom(custom_reg, random_unitary(rng, 1 << layout.width(custom_reg))),
+        circuits.permutation(perm_reg, rng.permutation(1 << layout.width(perm_reg)).tolist()),
+        circuits.bitwise_not(pick()),
+        circuits.oracle_phase(one_bit, register=names[arg]),
+    )
+    if arg != target:
+        stages += (circuits.oracle_xor(problem, register=names[arg], target=names[target]),)
+    return Case(layout, settings, stages, problem)
+
+
+def reference(case, stage, setting):
+    table = None
+    if stage.problem is not None:
+        table = [entry.value for entry in stage.problem.setting(setting).table]
+    return reference_stage_matrix(
+        case.layout.registers,
+        case.layout.setting_register,
+        stage.kind,
+        stage.register,
+        target=stage.target,
+        table=table,
+        mapping=stage.mapping,
+        matrix=stage.matrix,
+    )
+
+
+CASES = [
+    pytest.param(make_case(seed, position, arg_first), id=f"{position}-{'arg' if arg_first else 'target'}-first-{seed}")
+    for position in POSITIONS
+    for arg_first in (True, False)
+    for seed in range(3)
+] + [
+    pytest.param(make_case(seed, position, True, count=2), id=f"two-registers-{position}-{seed}")
+    for position in ("first", "last")
+    for seed in range(2)
+]
+
+
+def random_ensemble(case, seed):
+    rng = np.random.default_rng(seed)
+    dim = case.layout.state_dim
+    branches = []
+    for b in case.settings:
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        branches.append(Branch(b, 1.0 / len(case.settings), PureState(case.layout.state_only(), vec / np.linalg.norm(vec))))
+    return BranchEnsemble(case.layout, tuple(branches))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_unitary_matches_reference(case):
+    for stage in case.stages:
+        for b in case.settings:
+            assert np.allclose(stage.unitary(case.layout, b), reference(case, stage, b), atol=ATOL), stage.label
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_apply_stage_matches_reference(case):
+    ensemble = random_ensemble(case, 0)
+    for stage in case.stages:
+        out = ol.apply_stage(ensemble, stage)
+        assert out.settings() == ensemble.settings()
+        for before, after in zip(ensemble.branches, out.branches):
+            expected = reference(case, stage, before.setting) @ before.state.amplitudes
+            assert np.allclose(after.state.amplitudes, expected, atol=ATOL), stage.label
+        ensemble = out
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_composed_unitary_matches_reference(case):
+    circuit = circuits.make_circuit("random", case.layout, case.problem, case.stages, v_register=None)
+    for b in case.settings:
+        expected = np.eye(case.layout.state_dim)
+        for stage in case.stages:
+            expected = reference(case, stage, b) @ expected
+        assert np.allclose(circuits.composed_unitary(circuit, b), expected, atol=ATOL)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_readouts_match_reference(case):
+    ensemble = random_ensemble(case, 3)
+    registers = case.layout.registers
+    setting = case.layout.setting_register
+    branches = [(br.setting.value, br.weight, br.state.amplitudes) for br in ensemble.branches]
+    names = list(case.layout.names)
+    for measured in [[name] for name in names] + [names[::-1], names[1:] + names[:1]]:
+        got = ol.measure_register(ensemble, *measured).as_dict()
+        expected = reference_outcomes(registers, setting, branches, measured)
+        assert got.keys() == expected.keys(), measured
+        assert all(abs(got[k] - expected[k]) <= ATOL for k in got), measured
+    rho = 0
+    for br in ensemble.branches:
+        joint = reference_joint_vector(registers, setting, br.setting.value, br.state.amplitudes)
+        rho = rho + br.weight * np.outer(joint, joint.conj())
+    assert np.allclose(ol.density_matrix(ensemble), rho, atol=ATOL)
+    dims = [1 << w for _, w in registers]
+    for position, name in enumerate(names):
+        # partial trace of the joint density over every other register
+        moved = np.moveaxis(rho.reshape(dims + dims), [position, len(dims) + position], [0, 1])
+        rest = rho.shape[0] // dims[position]
+        reduced = np.trace(moved.reshape(dims[position], dims[position], rest, rest), axis1=2, axis2=3)
+        eig = np.linalg.eigvalsh(reduced)
+        eig = eig[eig > 1e-12]
+        assert abs(ol.reduced_entropy(ensemble, name) - float(-(eig * np.log2(eig)).sum())) <= 1e-8, name
+
+
+class ForwardingStage:
+    """Wraps a stage and forwards what it does not define, as tracing wrappers do."""
+
+    def __init__(self, stage):
+        self._stage = stage
+
+    def __getattr__(self, name):
+        return getattr(self._stage, name)
+
+
+class ScalingStage:
+    """A stage-like object whose action is not norm-preserving."""
+
+    label = "scale"
+
+    def setting_relabel(self, layout):
+        return None
+
+    def act(self, layout, rows, settings=None):
+        return 1.1 * rows
+
+
+class TestApplyStageCallers:
+    def test_forwarding_wrapper_is_accepted(self):
+        case = make_case(1, "middle", True)
+        ensemble = random_ensemble(case, 1)
+        for stage in case.stages:
+            direct = ol.apply_stage(ensemble, stage)
+            wrapped = ol.apply_stage(ensemble, ForwardingStage(stage))
+            assert ol.ensembles_close(direct, wrapped)
+
+    def test_norm_drift_raises(self):
+        case = make_case(2, "first", False)
+        with pytest.raises(ValueError, match="norm-preserving"):
+            ol.apply_stage(random_ensemble(case, 2), ScalingStage())
+
+
+def bits(text):
+    return BitString.from_text(text)
+
+
+def single(layout, setting):
+    return BranchEnsemble(layout, (Branch(setting, 1.0, PureState.basis(layout, {})),))
+
+
+class TestKernelErrors:
+    LAYOUT = RegisterLayout((("B", 2), ("A", 2), ("V", 1)), "B")
+
+    def assert_both_raise(self, stage, setting=bits("01"), match=None):
+        with pytest.raises(ValueError, match=match):
+            stage.unitary(self.LAYOUT, setting)
+        with pytest.raises(ValueError, match=match):
+            ol.apply_stage(single(self.LAYOUT, setting), stage)
+
+    def test_unknown_register(self):
+        self.assert_both_raise(circuits.hadamard("Z"), match="unknown register")
+
+    def test_unitary_stage_on_setting_register(self):
+        self.assert_both_raise(circuits.hadamard("B"), match="setting register")
+
+    def test_oracle_without_setting(self, grover2):
+        with pytest.raises(ValueError, match="setting"):
+            circuits.oracle_xor(grover2).unitary(self.LAYOUT)
+        with pytest.raises(ValueError, match="setting"):
+            circuits.oracle_phase(grover2).unitary(self.LAYOUT)
+
+    def test_target_width_differs_from_out_bits(self, grover2):
+        self.assert_both_raise(circuits.oracle_xor(grover2, target="A"), match="target")
+
+    def test_argument_width_differs_from_arg_bits(self, grover2):
+        layout = RegisterLayout((("B", 2), ("A", 3), ("V", 1)), "B")
+        for stage in (circuits.oracle_xor(grover2), circuits.oracle_phase(grover2)):
+            with pytest.raises(ValueError, match="arg_bits"):
+                stage.unitary(layout, bits("01"))
+            with pytest.raises(ValueError, match="arg_bits"):
+                ol.apply_stage(single(layout, bits("01")), stage)
+
+    def test_phase_oracle_needs_one_bit_function(self):
+        simon3 = ol.build_simon(3)
+        layout = RegisterLayout((("B", simon3.setting_width), ("A", 3)), "B")
+        b = simon3.setting_ids()[0]
+        with pytest.raises(ValueError, match="one-bit"):
+            circuits.oracle_phase(simon3).unitary(layout, b)
+        with pytest.raises(ValueError, match="one-bit"):
+            ol.apply_stage(single(layout, b), circuits.oracle_phase(simon3))
+
+    def test_branch_setting_not_in_problem(self, grover2):
+        layout = RegisterLayout((("B", 3), ("A", 2), ("V", 1)), "B")
+        with pytest.raises(ValueError, match="unknown setting"):
+            ol.apply_stage(single(layout, bits("101")), circuits.oracle_xor(grover2))
+        with pytest.raises(ValueError, match="unknown setting"):
+            circuits.oracle_phase(grover2).unitary(layout, bits("101"))
+
+    def test_relabeling_stage_has_no_matrix(self):
+        with pytest.raises(ValueError, match="relabels"):
+            circuits.bitwise_not("B").unitary(self.LAYOUT)
+
+    def test_register_size_mismatches(self):
+        self.assert_both_raise(circuits.custom("A", np.eye(2)))
+        self.assert_both_raise(circuits.permutation("A", (1, 0)), match="values")
+        self.assert_both_raise(circuits.permutation("A", tuple(range(8))), match="values")

@@ -230,6 +230,31 @@ class TestSerialization:
             ol.load_problem(json.dumps(doc))
 
 
+    @pytest.mark.parametrize("field,value,path", [
+        ("arg_bits", -1, "arg_bits"),
+        ("arg_bits", True, "arg_bits"),
+        ("arg_bits", 1000000, "arg_bits"),
+        ("out_bits", True, "out_bits"),
+        ("a_outcome", 5, r"settings\[0\]\.a_outcome"),
+    ])
+    def test_malformed_field_carries_path(self, field, value, path):
+        doc = {
+            "name": "tiny",
+            "arg_bits": 1,
+            "out_bits": 1,
+            "settings": [
+                {"id": "0", "table": ["1", "0"], "solution": "0"},
+                {"id": "1", "table": ["0", "1"], "solution": "1"},
+            ],
+        }
+        if field == "a_outcome":
+            doc["settings"][0]["a_outcome"] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ProblemFormatError, match=path):
+            ol.load_problem(json.dumps(doc))
+
+
 class TestSelectors:
     def test_builtin_selectors(self):
         assert ol.parse_selector("grover:n=2").name == "grover"

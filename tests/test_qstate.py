@@ -15,7 +15,6 @@ from oraclelab.qstate import (
     OutcomeDistribution,
     PureState,
     RegisterLayout,
-    phased_vector,
 )
 
 
@@ -390,18 +389,6 @@ class TestPhaseSampling:
         expected[0, 0] = 0.5  # B=0, A=0
         expected[3, 3] = 0.5  # B=1, A=1
         assert np.allclose(rho, expected)
-
-    def test_phased_vector_requires_phases(self):
-        layout = ba_layout(b=1, a=1)
-        ensemble = BranchEnsemble.uniform(
-            layout, [BitString(0, 1), BitString(1, 1)], PureState.basis(layout, {"A": 0})
-        )
-        with pytest.raises(ValueError):
-            phased_vector(ensemble)
-        vec = phased_vector(ensemble.with_phases([0.0, 0.0]))
-        expected = np.zeros(4, dtype=complex)
-        expected[0] = expected[2] = 1 / np.sqrt(2)
-        assert np.allclose(vec, expected)
 
     def test_sampled_phase_density_converges(self):
         layout = ba_layout()
