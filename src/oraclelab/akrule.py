@@ -14,6 +14,10 @@ entries at chosen argument positions, ``linear`` readouts reveal GF(2) parities
 of the raw setting bits.  With the ``complementary`` flag on (the default)
 cells pairs must split the positions into complements and linear pairs must be
 a direct-sum decomposition of the dual space.
+
+Internally every readout is a partition of the setting positions, and a set of
+settings is an int bitmask over those positions; ``frozenset[BitString]``
+appears only at the public boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .oracle import OracleProblem, build_grover, output_ensemble
 from .qstate import BitString, project_setting_subset, reduced_entropy
@@ -35,12 +39,19 @@ MAX_CELLS_POSITIONS = 16
 
 @dataclass(frozen=True)
 class AkConfig:
-    """Knobs of the analysis; only half retroaction is defined."""
+    """Knobs of the analysis.
+
+    ``retroaction`` must be 1/2, the only fraction with a defined procedure.
+    ``family`` picks the readouts, ``cells`` or ``linear``; None means the
+    problem's default.  ``complementary`` requires the two readouts of a pair
+    to split the cell positions into complements, or the mask spaces into a
+    direct sum; off, any two distinct readouts may pair.  Entropy reductions
+    are compared exactly, so there is no tolerance.
+    """
 
     retroaction: Fraction = Fraction(1, 2)
     family: str | None = None
     complementary: bool = True
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if Fraction(self.retroaction) != Fraction(1, 2):
@@ -194,93 +205,126 @@ def _dot(mask: int, value: int) -> int:
     return bin(mask & value).count("1") & 1
 
 
-def _span(basis: Iterable[int]) -> list[int]:
-    vectors = [0]
-    for b in basis:
-        vectors += [v ^ b for v in vectors]
-    return vectors
-
-
-def _nullspace(basis: tuple[int, ...], width: int) -> tuple[int, ...]:
-    """Basis of {x : mask . x = 0 for all masks}, width bits."""
-    # full reduction first: each pivot bit then occurs in exactly one row,
-    # so the pivot coordinates of a kernel vector can be set independently
-    rows = _rref(basis)
-    pivot_cols = [r.bit_length() - 1 for r in rows]
-    out = []
-    for free in (c for c in range(width) if c not in pivot_cols):
-        vec = 1 << free
-        for col, row in zip(pivot_cols, rows):
-            if (row >> free) & 1:
-                vec ^= 1 << col
-        out.append(vec)
-    return tuple(out)
+def _submasks(mask: int) -> Iterator[int]:
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 @functools.lru_cache(maxsize=8)
 def _all_subspaces(width: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical bases of every subspace of GF(2)^width, the trivial one included."""
-    seen: set[tuple[int, ...]] = {()}
-    frontier: list[tuple[int, ...]] = [()]
-    while frontier:
-        next_frontier = []
-        for basis in frontier:
-            span = set(_span(basis))
-            for vector in range(1, 1 << width):
-                if vector not in span:
-                    extended = _rref(list(basis) + [vector])
-                    if extended not in seen:
-                        seen.add(extended)
-                        next_frontier.append(extended)
-        frontier = next_frontier
-    return tuple(sorted(seen, key=lambda b: (len(b), b)))
+    """Canonical bases of every subspace of GF(2)^width, the trivial one included.
+
+    A subspace has exactly one reduced echelon basis: choose its pivot
+    columns, then fill each row's free bits, the non-pivot columns below
+    the row's pivot, in every way.
+    """
+    bases = []
+    for size in range(width + 1):
+        for pivots in itertools.combinations(range(width - 1, -1, -1), size):
+            taken = sum(1 << p for p in pivots)
+            rows = [[(1 << p) | fill for fill in _submasks(((1 << p) - 1) & ~taken)] for p in pivots]
+            bases.extend(itertools.product(*rows))
+    return tuple(sorted(bases, key=lambda b: (len(b), b)))
 
 
-def _pivot_table(basis: tuple[int, ...]) -> dict[int, int]:
-    pivots: dict[int, int] = {}
+def _span_bits(basis: Iterable[int]) -> int:
+    """The span as a bitmask over vectors: bit v is set when v lies in it."""
+    vectors = [0]
     for row in basis:
-        current = row
-        while current:
-            lead = current.bit_length() - 1
-            if lead in pivots:
-                current ^= pivots[lead]
-            else:
-                pivots[lead] = current
-                break
-    return pivots
-
-
-def _extends_to_full(pivots: dict[int, int], rows: tuple[int, ...], width: int) -> bool:
-    """Whether adding the rows to the pivot table reaches full rank, independently."""
-    if len(pivots) + len(rows) != width:
-        return False
-    merged = dict(pivots)
-    for row in rows:
-        current = row
-        while current:
-            lead = current.bit_length() - 1
-            if lead in merged:
-                current ^= merged[lead]
-            else:
-                merged[lead] = current
-                break
-        else:
-            return False
-    return len(merged) == width
+        vectors += [v ^ row for v in vectors]
+    return sum(1 << v for v in vectors)
 
 
 # ---------------------------------------------------------------------------
-# Family index: per-problem static structures for one measurement family
+# Partitions and exact entropy keys
 
 
-class _FamilyIndex:
-    """Precomputed specs and realized-subset machinery for one problem/family."""
+def _partition(labels: Iterable) -> tuple[int, ...]:
+    """Entry i: the bitmask of the positions whose label equals position i's."""
+    labels = tuple(labels)
+    blocks: dict = {}
+    for i, label in enumerate(labels):
+        blocks[label] = blocks.get(label, 0) | (1 << i)
+    return tuple(blocks[label] for label in labels)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bit positions, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _entropy_key(counts: tuple[int, ...]) -> tuple[tuple[int, Fraction], ...]:
+    """The entropy of the counts, exactly, as prime exponents.
+
+    With N = sum(counts), H = (1/N) * log2(N^N / prod c^c).  The logarithms of
+    distinct primes are linearly independent over Q, so two entropies are
+    equal exactly when the prime-exponent vectors of N^N / prod c^c, each
+    divided by its N, are equal.
+    """
+    total = sum(counts)
+    exponents: Counter = Counter()
+    for p, e in _factor(total):
+        exponents[p] += total * e
+    for c in counts:
+        for p, e in _factor(c):
+            exponents[p] -= c * e
+    return tuple((p, Fraction(e, total)) for p, e in sorted(exponents.items()) if e)
+
+
+def _entropy(counts: Iterable[int]) -> float:
+    counts = tuple(counts)
+    total = sum(counts)
+    entropy = 0.0
+    for c in counts:
+        p = c / total
+        entropy -= p * math.log2(p)
+    return entropy
+
+
+# ---------------------------------------------------------------------------
+# The partition core: one problem's readouts of one family
+
+
+class _Core:
+    """Every readout of one family as a partition of the setting positions.
+
+    ``blocks[s][i]`` is the bitmask of the settings that share setting i's
+    readout under spec s.  A spec's partition is its parent's (the spec
+    without its last cell or mask) refined by an atom, the partition of that
+    one cell or mask; the families differ only in their atoms.
+    """
 
     def __init__(self, problem: OracleProblem, family: str):
         self.problem = problem
         self.family = family
-        self.ids = tuple(st.id for st in problem.settings)
-        self.full_entropy = _outcome_entropy(problem, self.ids)
+        self.ids = problem.setting_ids()
+        self.position = {b.value: i for i, b in enumerate(self.ids)}
         if family == "cells":
             positions = 1 << problem.arg_bits
             if positions > MAX_CELLS_POSITIONS:
@@ -288,130 +332,150 @@ class _FamilyIndex:
                     f"cells enumeration supports tables of up to {MAX_CELLS_POSITIONS} "
                     f"entries, this problem has {positions}"
                 )
-            self.positions = positions
-            self.specs = tuple(
-                cells_spec(c)
-                for size in range(positions + 1)
-                for c in itertools.combinations(range(positions), size)
-            )
-            self._groups: dict[frozenset[int], dict[tuple[int, ...], frozenset[BitString]]] = {}
+            keys = [c for size in range(positions + 1) for c in itertools.combinations(range(positions), size)]
+            self.specs = tuple(cells_spec(c) for c in keys)
+
+            def atom(q: int) -> tuple[int, ...]:
+                return _partition(st.table[q].value for st in problem.settings)
+
         elif family == "linear":
-            width = problem.setting_width
-            if width > MAX_LINEAR_WIDTH:
+            self.width = problem.setting_width
+            if self.width > MAX_LINEAR_WIDTH:
                 raise ValueError(
                     f"linear enumeration supports setting widths up to {MAX_LINEAR_WIDTH}, "
-                    f"this problem has {width} bits per setting"
+                    f"this problem has {self.width} bits per setting"
                 )
-            self.width = width
+            keys = list(_all_subspaces(self.width))
             self.specs = tuple(
-                MeasurementSpec("linear", masks=tuple(BitString(v, width) for v in basis))
-                for basis in _all_subspaces(width)
+                MeasurementSpec("linear", masks=tuple(BitString(v, self.width) for v in basis))
+                for basis in keys
             )
-            self._basis = {spec: tuple(m.value for m in spec.masks) for spec in self.specs}
-            self._spec_by_basis = {basis: spec for spec, basis in self._basis.items()}
-            self._pivots = {basis: _pivot_table(basis) for basis in self._spec_by_basis}
-            self._complement: dict[tuple[int, ...], tuple[int, ...]] = {}
-            self._coset_span: dict[tuple[int, ...], tuple[int, ...]] = {}
-            self._by_value = {st.id.value: st.id for st in problem.settings}
+            self.spans = tuple(_span_bits(basis) for basis in keys)
+
+            def atom(mask: int) -> tuple[int, ...]:
+                return _partition(_dot(mask, b.value) for b in self.ids)
+
         else:
             raise ValueError(f"unknown measurement family {family!r}")
+        index = {key: s for s, key in enumerate(keys)}
+        atoms: dict[int, tuple[int, ...]] = {}
+        blocks: list[tuple[int, ...]] = []
+        for key in keys:
+            if not key:
+                blocks.append(((1 << len(self.ids)) - 1,) * len(self.ids))
+                continue
+            if key[-1] not in atoms:
+                atoms[key[-1]] = atom(key[-1])
+            blocks.append(_partition(p & a for p, a in zip(blocks[index[key[:-1]]], atoms[key[-1]])))
+        self.blocks = tuple(blocks)
+        self.dims = tuple(len(key) for key in keys)
+        if family == "cells":
+            everything = frozenset(range(positions))
+            self.complement = tuple(index[tuple(sorted(everything - set(key)))] for key in keys)
+        self.outcome = _partition(st.a_outcome.value for st in problem.settings)
+        self.solution = _partition(st.solution for st in problem.settings)
+        self.full_entropy = _entropy(self._counts((1 << len(self.ids)) - 1))
+        self._facts: dict[int, tuple[bool, int]] = {}
+        self._key_of_counts: dict[tuple[int, ...], int] = {}
+        self._key_ids: dict[tuple, int] = {}
 
-    def subset(self, spec: MeasurementSpec, b_star: BitString) -> frozenset[BitString]:
-        if self.family == "cells":
-            groups = self._cells_groups(spec.cells)
-            return groups[self._projection(spec.cells, b_star)]
-        return self.subset_by_basis(tuple(m.value for m in spec.masks), b_star.value)
+    def position_of(self, b: BitString) -> int:
+        self.problem.setting(b)
+        return self.position[b.value]
 
-    def subset_by_basis(self, basis: tuple[int, ...], b_value: int) -> frozenset[BitString]:
-        span = self._coset_span.get(basis)
-        if span is None:
-            span = tuple(_span(_nullspace(basis, self.width)))
-            self._coset_span[basis] = span
-        members = []
-        for offset in span:
-            hit = self._by_value.get(b_value ^ offset)
-            if hit is not None:
-                members.append(hit)
-        return frozenset(members)
+    def subset(self, mask: int) -> frozenset[BitString]:
+        return frozenset(self.ids[i] for i in _members(mask))
 
-    def direct_sum_fast(self, basis_a: tuple[int, ...], basis_b: tuple[int, ...]) -> bool:
-        if len(basis_a) + len(basis_b) != self.width:
-            return False
-        return _extends_to_full(self._pivots[basis_a], basis_b, self.width)
+    def _counts(self, mask: int) -> tuple[int, ...]:
+        """Outcome-label counts inside the mask, ascending."""
+        counts = []
+        rest = mask
+        while rest:
+            part = mask & self.outcome[(rest & -rest).bit_length() - 1]
+            counts.append(part.bit_count())
+            rest ^= part
+        return tuple(sorted(counts))
 
-    def greedy_complement(self, basis: tuple[int, ...]) -> tuple[int, ...]:
-        """One canonical direct-sum complement, completed from unit vectors."""
-        cached = self._complement.get(basis)
-        if cached is None:
-            pivots = dict(self._pivots[basis])
-            added: list[int] = []
-            for col in range(self.width - 1, -1, -1):
-                current = 1 << col
-                while current:
-                    lead = current.bit_length() - 1
-                    if lead in pivots:
-                        current ^= pivots[lead]
-                    else:
-                        pivots[lead] = current
-                        added.append(1 << col)
-                        break
-            cached = _rref(added)
-            self._complement[basis] = cached
-        return cached
+    def facts(self, mask: int) -> tuple[bool, int]:
+        """Whether the block leaves the answer undetermined, and its interned entropy key."""
+        fact = self._facts.get(mask)
+        if fact is None:
+            counts = self._counts(mask)
+            key = self._key_of_counts.get(counts)
+            if key is None:
+                key = self._key_ids.setdefault(_entropy_key(counts), len(self._key_ids))
+                self._key_of_counts[counts] = key
+            first = (mask & -mask).bit_length() - 1
+            fact = self._facts[mask] = (mask & ~self.solution[first] != 0, key)
+        return fact
 
-    def _projection(self, cells: frozenset[int], b: BitString) -> tuple[int, ...]:
-        st = self.problem.setting(b)
-        return tuple(st.table[q].value for q in sorted(cells))
+    def epsilon(self, mask: int) -> float:
+        """The block's entropy reduction as a float, for reports only."""
+        return self.full_entropy - _entropy(self._counts(mask))
 
-    def _cells_groups(self, cells: frozenset[int]) -> dict[tuple[int, ...], frozenset[BitString]]:
-        groups = self._groups.get(cells)
-        if groups is None:
-            acc: dict[tuple[int, ...], list[BitString]] = {}
-            for st in self.problem.settings:
-                acc.setdefault(tuple(st.table[q].value for q in sorted(cells)), []).append(st.id)
-            groups = {k: frozenset(v) for k, v in acc.items()}
-            self._groups[cells] = groups
-        return groups
+    def partners(self, i: int, complementary: bool) -> Callable[[int], Iterator[int]]:
+        """The pair predicate at setting position i, as each spec's partner generator.
 
-    def candidate_pairs(self, complementary: bool) -> Iterator[tuple[MeasurementSpec, MeasurementSpec]]:
-        """Unordered spec pairs to test, in deterministic order."""
-        if self.family == "cells":
-            if complementary:
-                everything = frozenset(range(self.positions))
-                for spec in self.specs:
-                    other = everything - spec.cells
-                    if tuple(sorted(spec.cells)) <= tuple(sorted(other)):
-                        yield spec, cells_spec(other)
-            else:
-                yield from itertools.combinations(self.specs, 2)
-            return
-        if complementary:
-            by_dim: dict[int, list[MeasurementSpec]] = {}
-            for spec in self.specs:
-                by_dim.setdefault(len(spec.masks), []).append(spec)
-            for p in sorted(by_dim):
-                q = self.width - p
-                if q < p or q not in by_dim:
-                    continue
-                if p == q:
-                    candidates = itertools.combinations(by_dim[p], 2)
-                else:
-                    candidates = itertools.product(by_dim[p], by_dim[q])
-                for spec_i, spec_j in candidates:
-                    if self.direct_sum_fast(self._basis[spec_i], self._basis[spec_j]):
-                        yield spec_i, spec_j
+        Spec t partners spec s when their blocks at i meet in exactly i, both
+        leave the answer undetermined, both have the same entropy key, and
+        the specs are related: complements (cells) or a direct sum (linear)
+        when ``complementary`` is on, any two distinct specs when it is off.
+        The relation is symmetric, so t partners s exactly when s partners t.
+        """
+        bit = 1 << i
+        blocks, facts = self.blocks, self.facts
+        direct_sum = complementary and self.family == "linear"
+        if complementary and self.family == "cells":
+            complement = self.complement
+
+            def candidates(s: int, key: int) -> Iterable[int]:
+                return (complement[s],)
+
         else:
-            yield from itertools.combinations(self.specs, 2)
+            # bucket by (dimension, key); the partner of a direct sum has the
+            # complementary dimension, any other partner may have any
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for t, row in enumerate(blocks):
+                undetermined, key = facts(row[i])
+                if undetermined:
+                    buckets.setdefault((self.dims[t] if direct_sum else 0, key), []).append(t)
+
+            def candidates(s: int, key: int) -> Iterable[int]:
+                return buckets.get((self.width - self.dims[s] if direct_sum else 0, key), ())
+
+        def partners(s: int) -> Iterator[int]:
+            mine = blocks[s][i]
+            undetermined, key = facts(mine)
+            if not undetermined:
+                return
+            for t in candidates(s, key):
+                if blocks[t][i] & mine != bit or t == s or facts(blocks[t][i]) != (True, key):
+                    continue
+                if direct_sum and self.spans[s] & self.spans[t] != 1:
+                    continue
+                yield t
+
+        return partners
+
+    def rank(self, s: int, t: int, complementary: bool) -> tuple[int, ...]:
+        """Where the unordered pair {s, t} comes in the canonical candidate order.
+
+        Complementary cells pairs are listed once, at the spec whose sorted
+        cells come first; every other pair at (lower index, higher index).
+        """
+        if complementary and self.family == "cells":
+            return (min((sorted(self.specs[u].cells), u) for u in (s, t))[1],)
+        return min(s, t), max(s, t)
 
 
 @functools.lru_cache(maxsize=16)
-def _family_index(problem: OracleProblem, family: str) -> _FamilyIndex:
-    return _FamilyIndex(problem, family)
+def _core(problem: OracleProblem, family: str) -> _Core:
+    return _Core(problem, family)
 
 
-def _resolve_family(problem: OracleProblem, config: AkConfig | None) -> tuple[AkConfig, str]:
+def _resolve(problem: OracleProblem, config: AkConfig | None) -> tuple[AkConfig, _Core]:
     config = config or AkConfig()
-    return config, config.family or problem.default_family
+    return config, _core(problem, config.family or problem.default_family)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +509,7 @@ def realized_subset(problem: OracleProblem, spec: MeasurementSpec, b_star: BitSt
 
 
 def _outcome_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
-    counts = Counter(problem.setting(b).a_outcome.value for b in subset)
-    total = sum(counts.values())
-    entropy = 0.0
-    for c in counts.values():
-        p = c / total
-        entropy -= p * math.log2(p)
-    return entropy
+    return _entropy(Counter(problem.setting(b).a_outcome.value for b in subset).values())
 
 
 def delta_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
@@ -476,58 +534,7 @@ def delta_entropy_via_states(problem: OracleProblem, subset: Iterable[BitString]
 
 
 # ---------------------------------------------------------------------------
-# Pair enumeration
-
-
-def _subset_key(subset: frozenset[BitString]) -> tuple[int, ...]:
-    return tuple(sorted(b.value for b in subset))
-
-
-def _solutions(problem: OracleProblem, subset: Iterable[BitString]) -> set[str]:
-    return {problem.setting(b).solution for b in subset}
-
-
-class _SettingContext:
-    """Per-(setting, config) caches used while enumerating pairs."""
-
-    def __init__(self, index: _FamilyIndex, b_star: BitString, tolerance: float):
-        self.index = index
-        self.b_star = b_star
-        self.tolerance = tolerance
-        self._subsets: dict[MeasurementSpec, frozenset[BitString]] = {}
-        self._eps: dict[tuple[int, ...], float] = {}
-        self._undetermined: dict[tuple[int, ...], bool] = {}
-
-    def subset(self, spec: MeasurementSpec) -> frozenset[BitString]:
-        subset = self._subsets.get(spec)
-        if subset is None:
-            subset = self.index.subset(spec, self.b_star)
-            self._subsets[spec] = subset
-        return subset
-
-    def epsilon(self, subset: frozenset[BitString]) -> float:
-        key = _subset_key(subset)
-        eps = self._eps.get(key)
-        if eps is None:
-            eps = self.index.full_entropy - _outcome_entropy(self.index.problem, subset)
-            self._eps[key] = eps
-        return eps
-
-    def undetermined(self, subset: frozenset[BitString]) -> bool:
-        """Condition (no): the subset must not pin the answer down."""
-        key = _subset_key(subset)
-        value = self._undetermined.get(key)
-        if value is None:
-            value = len(_solutions(self.index.problem, subset)) >= 2
-            self._undetermined[key] = value
-        return value
-
-    def pair_ok(self, s_i: frozenset[BitString], s_j: frozenset[BitString]) -> bool:
-        if len(s_i & s_j) != 1:
-            return False
-        if not (self.undetermined(s_i) and self.undetermined(s_j)):
-            return False
-        return abs(self.epsilon(s_i) - self.epsilon(s_j)) <= self.tolerance
+# Pairs and instances: views over the core
 
 
 def enumerate_occam_pairs(
@@ -536,119 +543,53 @@ def enumerate_occam_pairs(
     """All valid partial-readout pairs for one true setting.
 
     A pair passes when the realized subsets intersect exactly in the true
-    setting, both entropy reductions agree within the tolerance, and neither
-    subset determines the answer alone.  Pairs are deduplicated by their
-    realized-subset pair and returned in canonical order.
+    setting, both entropy reductions are equal, and neither subset determines
+    the answer alone.  Pairs are deduplicated by their realized-subset pair,
+    keeping the spec pair that comes first in the canonical candidate order,
+    and returned in canonical order.
     """
-    problem.setting(b_star)
-    config, family = _resolve_family(problem, config)
-    index = _family_index(problem, family)
-    ctx = _SettingContext(index, b_star, config.tolerance)
-    found: dict[tuple, OccamPair] = {}
-    for spec_i, spec_j in index.candidate_pairs(config.complementary):
-        s_i = ctx.subset(spec_i)
-        s_j = ctx.subset(spec_j)
-        if not ctx.pair_ok(s_i, s_j):
-            continue
-        if _subset_key(s_j) < _subset_key(s_i):
-            spec_i, s_i, spec_j, s_j = spec_j, s_j, spec_i, s_i
-        key = (_subset_key(s_i), _subset_key(s_j))
-        if key not in found:
-            found[key] = OccamPair(spec_i, s_i, spec_j, s_j, ctx.epsilon(s_i))
-    return tuple(found[key] for key in sorted(found))
+    config, core = _resolve(problem, config)
+    i = core.position_of(b_star)
+    partners = core.partners(i, config.complementary)
+    first: dict[tuple[int, int], tuple] = {}
+    for s in range(len(core.specs)):
+        for t in partners(s):
+            if t < s:
+                continue
+            a, b = sorted((s, t), key=lambda u: _members(core.blocks[u][i]))
+            key = (core.blocks[a][i], core.blocks[b][i])
+            rank = core.rank(s, t, config.complementary)
+            if key not in first or rank < first[key][0]:
+                first[key] = (rank, a, b)
+    ordered = sorted(first.items(), key=lambda item: (_members(item[0][0]), _members(item[0][1])))
+    return tuple(
+        OccamPair(core.specs[a], core.subset(m_a), core.specs[b], core.subset(m_b), core.epsilon(m_a))
+        for (m_a, m_b), (_, a, b) in ordered
+    )
 
 
 def ak_instances(pairs: Iterable[OccamPair]) -> tuple[AkInstance, ...]:
     """Both subsets of every pair, deduplicated, each carrying its epsilon."""
-    found: dict[tuple[int, ...], AkInstance] = {}
+    found: dict[frozenset[BitString], AkInstance] = {}
     for pair in pairs:
         for spec, subset in ((pair.spec_i, pair.subset_i), (pair.spec_j, pair.subset_j)):
-            key = _subset_key(subset)
-            if key not in found:
-                found[key] = AkInstance(subset, spec, pair.epsilon)
-    return tuple(found[key] for key in sorted(found))
+            if subset not in found:
+                found[subset] = AkInstance(subset, spec, pair.epsilon)
+    return tuple(sorted(found.values(), key=lambda inst: sorted(b.value for b in inst.subset)))
 
 
-def _setting_instances(
-    index: _FamilyIndex, b_star: BitString, config: AkConfig
-) -> list[AkInstance]:
-    """Instances for one setting without materializing every pair.
+def _instances(core: _Core, i: int, complementary: bool) -> list[tuple[int, int]]:
+    """(block mask, spec) of every block at setting i with a partner, in canonical order.
 
-    A spec contributes its subset as soon as one valid partner exists; this is
-    the same predicate as :func:`enumerate_occam_pairs` with an early exit.
-    Partner candidates are bucketed by dimension and entropy reduction so that
-    large linear families stay tractable.
+    The spec is the first one, in spec order, whose block at i is that mask
+    and has a partner.
     """
-    ctx = _SettingContext(index, b_star, config.tolerance)
-    if index.family == "linear" and config.complementary:
-        return _linear_complementary_instances(index, ctx, config)
-    found: dict[tuple[int, ...], AkInstance] = {}
-    for spec in index.specs:
-        subset = ctx.subset(spec)
-        key = _subset_key(subset)
-        if key in found:
-            continue
-        if not ctx.undetermined(subset):
-            continue
-        if config.complementary:
-            partners: Iterable[MeasurementSpec] = (
-                cells_spec(frozenset(range(index.positions)) - spec.cells),
-            )
-        else:
-            partners = (s for s in index.specs if s != spec)
-        for partner in partners:
-            if ctx.pair_ok(subset, ctx.subset(partner)):
-                found[key] = AkInstance(subset, spec, ctx.epsilon(subset))
-                break
-    return [found[key] for key in sorted(found)]
-
-
-def _linear_complementary_instances(
-    index: _FamilyIndex, ctx: _SettingContext, config: AkConfig
-) -> list[AkInstance]:
-    tolerance = config.tolerance
-    quantum = 8.0 * max(tolerance, 1e-12)
-    b_value = ctx.b_star.value
-    data: dict[tuple[int, ...], tuple[frozenset[BitString], float]] = {}
-    buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for spec in index.specs:
-        basis = index._basis[spec]
-        subset = index.subset_by_basis(basis, b_value)
-        if not ctx.undetermined(subset):
-            continue
-        eps = ctx.epsilon(subset)
-        data[basis] = (subset, eps)
-        buckets.setdefault((len(basis), round(eps / quantum)), []).append(basis)
-    found: dict[tuple[int, ...], AkInstance] = {}
-    for basis, (subset, eps) in data.items():
-        key = _subset_key(subset)
-        if key in found:
-            continue
-        mate = index.greedy_complement(basis)
-        hit = data.get(mate)
-        if hit is not None and abs(hit[1] - eps) <= tolerance and len(subset & hit[0]) == 1:
-            found[key] = AkInstance(subset, index._spec_by_basis[basis], eps)
-            continue
-        q = index.width - len(basis)
-        base = round(eps / quantum)
-        done = False
-        for shift in (0, -1, 1):
-            for candidate in buckets.get((q, base + shift), ()):
-                if candidate == basis:
-                    continue
-                c_subset, c_eps = data[candidate]
-                if abs(c_eps - eps) > tolerance:
-                    continue
-                if not index.direct_sum_fast(basis, candidate):
-                    continue
-                if len(subset & c_subset) != 1:
-                    continue
-                found[key] = AkInstance(subset, index._spec_by_basis[basis], eps)
-                done = True
-                break
-            if done:
-                break
-    return [found[key] for key in sorted(found)]
+    partners = core.partners(i, complementary)
+    found: dict[int, int] = {}
+    for s, row in enumerate(core.blocks):
+        if row[i] not in found and next(partners(s), None) is not None:
+            found[row[i]] = s
+    return sorted(found.items(), key=lambda item: _members(item[0]))
 
 
 def setting_instances(
@@ -657,36 +598,18 @@ def setting_instances(
     """The advance-knowledge instances of one setting.
 
     Streaming equivalent of ``ak_instances(enumerate_occam_pairs(...))``: each
-    spec's subset is admitted as soon as one valid partner is found, which
-    keeps large linear families tractable.
+    block is admitted at its first partner, without listing every pair.
     """
-    problem.setting(b_star)
-    config, family = _resolve_family(problem, config)
-    index = _family_index(problem, family)
-    return tuple(_setting_instances(index, b_star, config))
+    config, core = _resolve(problem, config)
+    i = core.position_of(b_star)
+    return tuple(
+        AkInstance(core.subset(mask), core.specs[s], core.epsilon(mask))
+        for mask, s in _instances(core, i, config.complementary)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Adversarial decision trees
-
-
-@functools.lru_cache(maxsize=16)
-def _solver_tables(problem: OracleProblem):
-    ids = tuple(st.id for st in problem.settings)
-    position = {b.value: i for i, b in enumerate(ids)}
-    n_args = 1 << problem.arg_bits
-    arg_groups: list[tuple[int, ...]] = []
-    for a in range(n_args):
-        groups: dict[int, int] = {}
-        for i, st in enumerate(problem.settings):
-            value = st.table[a].value
-            groups[value] = groups.get(value, 0) | (1 << i)
-        arg_groups.append(tuple(groups.values()))
-    by_solution: dict[str, int] = {}
-    for i, st in enumerate(problem.settings):
-        by_solution[st.solution] = by_solution.get(st.solution, 0) | (1 << i)
-    sol_mask_of = tuple(by_solution[st.solution] for st in problem.settings)
-    return ids, position, tuple(arg_groups), tuple(by_solution.values()), sol_mask_of
 
 
 class _TreeSolver:
@@ -696,13 +619,19 @@ class _TreeSolver:
     constant on the set, else one plus the best argument's worst observed
     branch, over arguments that split the set.  Matching greedy upper and
     pigeonhole lower bounds close structured cases without expanding them.
+    An argument's groups are the blocks of its single-cell readout.
     """
 
     def __init__(self, problem: OracleProblem):
         self.problem = problem
-        (self.ids, self.position, self.arg_groups, self.solution_masks, self.sol_mask_of) = (
-            _solver_tables(problem)
+        self.ids = problem.setting_ids()
+        self.position = {b.value: i for i, b in enumerate(self.ids)}
+        self.arg_groups = tuple(
+            tuple(dict.fromkeys(_partition(st.table[a].value for st in problem.settings)))
+            for a in range(1 << problem.arg_bits)
         )
+        self.sol_mask_of = _partition(st.solution for st in problem.settings)
+        self.solution_masks = tuple(dict.fromkeys(self.sol_mask_of))
         self._memo: dict[int, int] = {}
         self._greedy_memo: dict[int, int] = {}
 
@@ -794,14 +723,20 @@ class _TreeSolver:
         return self._cost(mask, tuple(range(len(self.arg_groups))))
 
 
+@functools.lru_cache(maxsize=16)
+def _solver(problem: OracleProblem) -> _TreeSolver:
+    return _TreeSolver(problem)
+
+
 def decision_tree_cost(problem: OracleProblem, candidates: Iterable[BitString]) -> int:
     """Minimum worst-case adaptive queries to pin down the answer on the set.
 
     Cost is zero when the answer is constant; otherwise one plus the minimum
     over splitting arguments of the maximum branch cost, against an adversary
-    choosing the observed value.  The memo table is confined to this call.
+    choosing the observed value.  One solver, and so one memo table, serves
+    every call on the same problem.
     """
-    solver = _TreeSolver(problem)
+    solver = _solver(problem)
     return solver.cost(solver.mask_of(candidates))
 
 
@@ -818,34 +753,34 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
     count ``2^(n/2) - 1`` and the reference ``ceil(pi/4 * 2^(n/2))`` for even
     widths, and a split note for odd widths where no exact half exists.
     """
-    config, family = _resolve_family(problem, config)
-    index = _family_index(problem, family)
-    solver = _TreeSolver(problem)
-    baseline = solver.cost(solver.mask_of(problem.setting_ids()))
+    config, core = _resolve(problem, config)
+    solver = _solver(problem)
+    baseline = solver.cost((1 << len(core.ids)) - 1)
 
     reports = []
-    all_costs: list[int] = []
+    predicted: int | None = None
     missing: list[str] = []
-    for b_star in problem.setting_ids():
-        instances = _setting_instances(index, b_star, config)
+    for i, b_star in enumerate(core.ids):
+        instances = _instances(core, i, config.complementary)
         if not instances:
             missing.append(b_star.text)
             reports.append(SettingReport(b_star, (), (), (), True))
             continue
         costs = Counter()
         sizes = Counter()
-        epsilons: list[float] = []
-        for inst in instances:
-            cost = solver.cost(solver.mask_of(inst.subset))
+        epsilons: dict[int, float] = {}
+        for mask, _ in instances:
+            cost = solver.cost(mask)
             costs[cost] += 1
-            sizes[len(inst.subset)] += 1
-            all_costs.append(cost)
-            if not any(abs(inst.epsilon - e) <= config.tolerance for e in epsilons):
-                epsilons.append(inst.epsilon)
+            sizes[mask.bit_count()] += 1
+            predicted = cost if predicted is None else max(predicted, cost)
+            key = core.facts(mask)[1]
+            if key not in epsilons:
+                epsilons[key] = core.epsilon(mask)
         reports.append(
             SettingReport(
                 b_star,
-                tuple(sorted(epsilons)),
+                tuple(sorted(epsilons.values())),
                 tuple(sorted(sizes.items())),
                 tuple(sorted(costs.items())),
                 False,
@@ -858,7 +793,6 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
             f"no R=1/2 instance for {len(missing)} setting(s): " + ", ".join(missing[:8])
             + ("..." if len(missing) > 8 else "")
         )
-    predicted = max(all_costs) if all_costs else None
 
     formula = reference = None
     n = problem.arg_bits
@@ -876,7 +810,7 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
 
     return QueryReport(
         problem=problem.name,
-        family=family,
+        family=core.family,
         complementary=config.complementary,
         baseline_queries=baseline,
         predicted_queries=predicted,

@@ -17,17 +17,6 @@ from . import akrule, circuits, histories, oracle, qstate, verification
 from .qstate import BitString
 
 
-def _parse_selector_parts(selector: str) -> tuple[str, int | None]:
-    kind, sep, rest = selector.partition(":")
-    if not sep:
-        raise ValueError(f"malformed problem selector {selector!r}")
-    if kind == "file":
-        return kind, None
-    if rest.startswith("n=") and rest[2:].isdigit():
-        return kind, int(rest[2:])
-    return kind, None
-
-
 def _load(selector: str) -> oracle.OracleProblem:
     return oracle.parse_selector(selector)
 
@@ -47,8 +36,8 @@ def _config(args) -> akrule.AkConfig:
 
 
 def _builtin_circuit(selector: str) -> circuits.Circuit:
-    kind, n = _parse_selector_parts(selector)
-    if kind == "file" or n is None:
+    kind, n = oracle.split_selector(selector)
+    if kind == "file":
         raise ValueError(f"no built-in circuit for problem selector {selector!r}")
     return circuits.builtin_circuit(kind, n)
 

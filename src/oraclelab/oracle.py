@@ -200,6 +200,9 @@ def build_simon(n: int) -> OracleProblem:
     return OracleProblem("simon", n, m, tuple(settings), "cells")
 
 
+_BUILTIN_PROBLEMS = {"grover": build_grover, "dj": build_dj, "simon": build_simon}
+
+
 def serialize_problem(problem: OracleProblem) -> str:
     document = {
         "name": problem.name,
@@ -303,23 +306,30 @@ def load_problem(document: str) -> OracleProblem:
         raise ProblemFormatError(f"settings: {exc}") from exc
 
 
-def parse_selector(selector: str) -> OracleProblem:
-    """Build a problem from a selector: grover:n=K, dj:n=K, simon:n=K or file:PATH."""
+def split_selector(selector: str) -> tuple[str, "int | str"]:
+    """The kind and argument of a selector: (kind, K) for KIND:n=K, ("file", PATH) for file:PATH."""
     kind, sep, rest = selector.partition(":")
     if not sep:
         raise ValueError(f"malformed problem selector {selector!r}")
     if kind == "file":
-        try:
-            with open(rest, "r", encoding="utf-8") as fh:
-                return load_problem(fh.read())
-        except OSError as exc:
-            raise ValueError(f"cannot read problem file {rest!r}: {exc}") from exc
-    builders = {"grover": build_grover, "dj": build_dj, "simon": build_simon}
-    if kind not in builders:
+        return kind, rest
+    if kind not in _BUILTIN_PROBLEMS:
         raise ValueError(f"unknown problem kind {kind!r} in selector {selector!r}")
     if not rest.startswith("n=") or not rest[2:].isdigit():
         raise ValueError(f"selector {selector!r} needs the form {kind}:n=K")
-    return builders[kind](int(rest[2:]))
+    return kind, int(rest[2:])
+
+
+def parse_selector(selector: str) -> OracleProblem:
+    """Build a problem from a selector: grover:n=K, dj:n=K, simon:n=K or file:PATH."""
+    kind, arg = split_selector(selector)
+    if kind == "file":
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                return load_problem(fh.read())
+        except OSError as exc:
+            raise ValueError(f"cannot read problem file {arg!r}: {exc}") from exc
+    return _BUILTIN_PROBLEMS[kind](arg)
 
 
 def problem_layout(problem: OracleProblem, include_v: bool = False) -> RegisterLayout:

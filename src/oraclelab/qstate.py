@@ -160,11 +160,6 @@ class RegisterLayout:
         shift, width = self._state_shift(name)
         return (index >> shift) & ((1 << width) - 1)
 
-    def replace(self, name: str, index: int, value: int) -> int:
-        shift, width = self._state_shift(name)
-        mask = ((1 << width) - 1) << shift
-        return (index & ~mask) | ((value & ((1 << width) - 1)) << shift)
-
     def state_index(self, assignment: Mapping[str, "int | BitString"]) -> int:
         index = 0
         seen = set(assignment)

@@ -2,11 +2,15 @@
 
 Everything here is spelled out from the problem definitions rather than
 imported from the package: truth tables as literals, stage matrices built from
-first principles with numpy, and a plain (memo-free) minimax recursion for
-query costs.
+first principles with numpy, a plain (memo-free) minimax recursion for query
+costs, and a breadth-first listing of GF(2) subspaces.  The brute-force pair
+search is the one exception: it tests every candidate spec pair with the
+package's definitional ``realized_subset`` and ``delta_entropy``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -227,3 +231,102 @@ def reference_joint_vector(registers, setting_register, setting, amplitudes):
             joint = (joint << width) | values[name]
         out[joint] = amp
     return out
+
+
+def gf2_rref(vectors) -> tuple[int, ...]:
+    """Reduced echelon basis of the span over GF(2), rows in descending order."""
+    rows: list[int] = []
+    for vector in vectors:
+        for row in rows:
+            vector = min(vector, vector ^ row)
+        if vector:
+            rows = [min(row, row ^ vector) for row in rows] + [vector]
+    return tuple(sorted(rows, reverse=True))
+
+
+def bfs_subspaces(width: int) -> tuple[tuple[int, ...], ...]:
+    """Every subspace of GF(2)^width as its canonical basis, grown one vector at a time."""
+    seen = {()}
+    frontier = [()]
+    while frontier:
+        grown = []
+        for basis in frontier:
+            span = {0}
+            for row in basis:
+                span |= {v ^ row for v in span}
+            for vector in range(1, 1 << width):
+                if vector not in span:
+                    extended = gf2_rref(basis + (vector,))
+                    if extended not in seen:
+                        seen.add(extended)
+                        grown.append(extended)
+        frontier = grown
+    return tuple(sorted(seen, key=lambda b: (len(b), b)))
+
+
+def reference_specs(problem, family):
+    """Every readout of the family in canonical order: by size, then cells or basis."""
+    from oraclelab.akrule import MeasurementSpec, cells_spec
+    from oraclelab.qstate import BitString
+
+    if family == "cells":
+        positions = range(1 << problem.arg_bits)
+        return [cells_spec(c) for size in range(len(positions) + 1) for c in itertools.combinations(positions, size)]
+    width = problem.setting_width
+    return [MeasurementSpec("linear", masks=tuple(BitString(v, width) for v in basis)) for basis in bfs_subspaces(width)]
+
+
+def _candidate_pairs(problem, family, complementary):
+    """Unordered spec pairs in canonical order: cells complements, linear direct sums, or any two."""
+    from oraclelab.akrule import cells_spec
+
+    specs = reference_specs(problem, family)
+    if complementary and family == "cells":
+        everything = frozenset(range(1 << problem.arg_bits))
+        for spec in specs:
+            other = everything - spec.cells
+            if sorted(spec.cells) <= sorted(other):
+                yield spec, cells_spec(other)
+    elif complementary:
+        width = problem.setting_width
+        for p in range(width // 2 + 1):
+            low = [s for s in specs if len(s.masks) == p]
+            high = [s for s in specs if len(s.masks) == width - p]
+            pairs = itertools.combinations(low, 2) if 2 * p == width else itertools.product(low, high)
+            for spec_i, spec_j in pairs:
+                if len(gf2_rref([m.value for m in spec_i.masks + spec_j.masks])) == width:
+                    yield spec_i, spec_j
+    else:
+        yield from itertools.combinations(specs, 2)
+
+
+def brute_force_pairs(problem, b_star, family, complementary, atol=1e-9):
+    """Every valid pair for one setting, straight from the definitions.
+
+    Returns (pairs, partnered): pairs as (spec_i, subset_i, spec_j, subset_j,
+    epsilon), deduplicated by subset pair (the first spec pair in candidate
+    order wins) and sorted by sorted setting values; partnered, every spec
+    with at least one valid partner, in canonical spec order.
+    """
+    from oraclelab.akrule import delta_entropy, realized_subset
+
+    def key(subset):
+        return tuple(sorted(b.value for b in subset))
+
+    subsets = {spec: realized_subset(problem, spec, b_star) for spec in reference_specs(problem, family)}
+    undetermined = {s: len({problem.setting(b).solution for b in s}) >= 2 for s in subsets.values()}
+    eps = {s: delta_entropy(problem, s) for s in subsets.values()}
+    found = {}
+    partnered = set()
+    for spec_i, spec_j in _candidate_pairs(problem, family, complementary):
+        s_i, s_j = subsets[spec_i], subsets[spec_j]
+        if len(s_i & s_j) != 1 or not (undetermined[s_i] and undetermined[s_j]):
+            continue
+        eps_i, eps_j = eps[s_i], eps[s_j]
+        if abs(eps_i - eps_j) > atol:
+            continue
+        partnered.update((spec_i, spec_j))
+        if key(s_j) < key(s_i):
+            spec_i, s_i, spec_j, s_j, eps_i = spec_j, s_j, spec_i, s_i, eps_j
+        found.setdefault((key(s_i), key(s_j)), (spec_i, s_i, spec_j, s_j, eps_i))
+    return [found[k] for k in sorted(found)], [s for s in reference_specs(problem, family) if s in partnered]

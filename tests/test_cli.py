@@ -50,6 +50,14 @@ class TestSimulate:
         assert code == 2
         assert "n=2" in err
 
+    def test_no_circuit_for_file_or_malformed_selectors(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--problem", "file:any.json", "--setting", "0")
+        assert code == 2
+        assert "no built-in circuit" in err
+        code, _, err = run_cli(capsys, "histories", "--problem", "dj:n=two", "--setting", "01")
+        assert code == 2
+        assert "dj:n=K" in err
+
     def test_wrong_setting_width(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--problem", "grover:n=2", "--setting", "0011")
         assert code == 2

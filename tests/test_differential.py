@@ -1,0 +1,90 @@
+"""The partition core against brute force from the definitions.
+
+``brute_force_pairs`` in ``reference_tables`` tests every candidate spec pair
+with ``realized_subset`` and ``delta_entropy``.  ``enumerate_occam_pairs`` and
+``setting_instances`` must give the same subsets and specs, in the same
+order, on the built-in n<=2 problems and on generated valid problems: equal
+outcome blocks, a consistent outcome-to-solution map, at most 8 table cells
+and at most 4 setting bits.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oraclelab as ol
+from oraclelab import akrule
+from oraclelab.akrule import AkConfig
+from oraclelab.qstate import BitString
+
+from reference_tables import bfs_subspaces, brute_force_pairs
+
+MODES = [(family, complementary) for family in ("cells", "linear") for complementary in (True, False)]
+
+
+def assert_matches_reference(problem, b_star, family, complementary):
+    config = AkConfig(family=family, complementary=complementary)
+    expected, partnered = brute_force_pairs(problem, b_star, family, complementary)
+    pairs = akrule.enumerate_occam_pairs(problem, b_star, config)
+    assert [(p.spec_i, p.subset_i, p.spec_j, p.subset_j) for p in pairs] == [e[:4] for e in expected]
+    for pair, e in zip(pairs, expected):
+        assert abs(pair.epsilon - e[4]) <= 1e-9
+    # streaming: each realized subset with a partner, at the first spec that has one
+    first = {}
+    for spec in partnered:
+        first.setdefault(akrule.realized_subset(problem, spec, b_star), spec)
+    instances = akrule.setting_instances(problem, b_star, config)
+    by_values = sorted(first.items(), key=lambda item: sorted(b.value for b in item[0]))
+    assert [(i.subset, i.spec) for i in instances] == by_values
+    for inst in instances:
+        assert abs(inst.epsilon - akrule.delta_entropy(problem, inst.subset)) <= 1e-9
+
+
+@pytest.mark.parametrize("width", range(7))
+def test_direct_subspace_enumeration_matches_bfs(width):
+    assert akrule._all_subspaces(width) == bfs_subspaces(width)
+
+
+@pytest.mark.parametrize("family,complementary", MODES)
+@pytest.mark.parametrize("selector", ["grover:n=2", "dj:n=1", "dj:n=2", "simon:n=2"])
+def test_builtins_match_brute_force(selector, family, complementary):
+    problem = ol.parse_selector(selector)
+    for b_star in problem.setting_ids():
+        assert_matches_reference(problem, b_star, family, complementary)
+
+
+@st.composite
+def generated_problems(draw):
+    """A valid problem with its true setting: up to 8 cells, up to 4 setting bits."""
+    width = draw(st.integers(1, 4))
+    arg_bits = draw(st.integers(1, 3))
+    out_bits = draw(st.integers(1, min(arg_bits, 2)))
+    n_tables = 1 << (out_bits << arg_bits)
+    most = min(1 << width, n_tables)
+    size = draw(st.integers(max(2, most // 2), most))
+    ids = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=size, max_size=size, unique=True))
+    tables = draw(st.lists(st.integers(0, n_tables - 1), min_size=size, max_size=size, unique=True))
+    n_outcomes = draw(st.sampled_from([d for d in range(2, size + 1) if size % d == 0]))
+    order = draw(st.permutations(range(size)))
+    # at least two answers, each the image of one or more outcomes
+    n_answers = draw(st.integers(2, n_outcomes))
+    answer = [a % n_answers for a in draw(st.permutations(range(n_outcomes)))]
+    outcome_width = max(1, (n_outcomes - 1).bit_length())
+    entry = (1 << out_bits) - 1
+    settings_ = []
+    for k, (b, t) in enumerate(zip(ids, tables)):
+        outcome = order[k] % n_outcomes
+        table = tuple(BitString((t >> (out_bits * a)) & entry, out_bits) for a in range(1 << arg_bits))
+        settings_.append(
+            ol.Setting(BitString(b, width), table, f"s{answer[outcome]}", BitString(outcome, outcome_width))
+        )
+    problem = ol.OracleProblem("generated", arg_bits, out_bits, tuple(settings_), "cells")
+    return problem, problem.settings[draw(st.integers(0, size - 1))].id
+
+
+@pytest.mark.parametrize("family,complementary", MODES)
+@settings(deadline=None)
+@given(case=generated_problems())
+def test_generated_problems_match_brute_force(case, family, complementary):
+    problem, b_star = case
+    assert_matches_reference(problem, b_star, family, complementary)

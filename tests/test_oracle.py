@@ -271,6 +271,15 @@ class TestSelectors:
             with pytest.raises(ValueError):
                 ol.parse_selector(text)
 
+    def test_split_selector(self):
+        from oraclelab.oracle import split_selector
+
+        assert split_selector("dj:n=2") == ("dj", 2)
+        assert split_selector("file:a:b.json") == ("file", "a:b.json")
+        for text in ("grover", "grover:n=x", "grover:k=2", "mystery:n=2"):
+            with pytest.raises(ValueError):
+                split_selector(text)
+
 
 class TestEnsembles:
     def test_input_ensemble_is_uniform_cleared(self, grover2):

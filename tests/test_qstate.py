@@ -78,7 +78,6 @@ class TestRegisterLayout:
             a = layout.extract("A", idx)
             v = layout.extract("V", idx)
             assert layout.state_index({"A": a, "V": v}) == idx
-            assert layout.replace("A", idx, a) == idx
 
     def test_state_label(self):
         layout = bav_layout()
