@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from .oracle import OracleProblem, build_grover, output_ensemble
 from .qstate import BitString, project_setting_subset, reduced_entropy
 
@@ -250,6 +252,14 @@ def _partition(labels: Iterable) -> tuple[int, ...]:
     for i, label in enumerate(labels):
         blocks[label] = blocks.get(label, 0) | (1 << i)
     return tuple(blocks[label] for label in labels)
+
+
+def _bits(masks: Iterable[int], n: int) -> np.ndarray:
+    """Row k holds the low n bits of the k-th mask, as 0/1 uint8."""
+    masks = list(masks)
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").reshape(len(masks), 8 * width)[:, :n]
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -578,8 +588,8 @@ def ak_instances(pairs: Iterable[OccamPair]) -> tuple[AkInstance, ...]:
     return tuple(sorted(found.values(), key=lambda inst: sorted(b.value for b in inst.subset)))
 
 
-def _instances(core: _Core, i: int, complementary: bool) -> list[tuple[int, int]]:
-    """(block mask, spec) of every block at setting i with a partner, in canonical order.
+def _instances(core: _Core, i: int, complementary: bool) -> dict[int, int]:
+    """{block mask: spec} of every block at setting i with a partner, in spec order.
 
     The spec is the first one, in spec order, whose block at i is that mask
     and has a partner.
@@ -589,7 +599,7 @@ def _instances(core: _Core, i: int, complementary: bool) -> list[tuple[int, int]
     for s, row in enumerate(core.blocks):
         if row[i] not in found and next(partners(s), None) is not None:
             found[row[i]] = s
-    return sorted(found.items(), key=lambda item: _members(item[0]))
+    return found
 
 
 def setting_instances(
@@ -602,9 +612,10 @@ def setting_instances(
     """
     config, core = _resolve(problem, config)
     i = core.position_of(b_star)
+    found = _instances(core, i, config.complementary)
     return tuple(
-        AkInstance(core.subset(mask), core.specs[s], core.epsilon(mask))
-        for mask, s in _instances(core, i, config.complementary)
+        AkInstance(core.subset(mask), core.specs[found[mask]], core.epsilon(mask))
+        for mask in sorted(found, key=_members)
     )
 
 
@@ -617,9 +628,10 @@ class _TreeSolver:
 
     The recursion follows the textbook definition: zero when the answer is
     constant on the set, else one plus the best argument's worst observed
-    branch, over arguments that split the set.  Matching greedy upper and
-    pigeonhole lower bounds close structured cases without expanding them.
-    An argument's groups are the blocks of its single-cell readout.
+    branch, over arguments that split the set.  Bounds close structured cases
+    without expanding them: the pigeonhole lower bound against the free upper
+    bound |S| - 1, then against the greedy upper bound.  An argument's groups
+    are the blocks of its single-cell readout.
     """
 
     def __init__(self, problem: OracleProblem):
@@ -630,8 +642,22 @@ class _TreeSolver:
             tuple(dict.fromkeys(_partition(st.table[a].value for st in problem.settings)))
             for a in range(1 << problem.arg_bits)
         )
+        self.args = tuple(range(len(self.arg_groups)))
         self.sol_mask_of = _partition(st.solution for st in problem.settings)
         self.solution_masks = tuple(dict.fromkeys(self.sol_mask_of))
+        # A splitting query shrinks every branch, so cost(S) <= |S| - 1, but
+        # only when every two settings with different answers have different
+        # tables; otherwise sets holding such a pair must still raise.
+        answers: dict[tuple[BitString, ...], str] = {}
+        self.free_bound = all(
+            answers.setdefault(st.table, st.solution) == st.solution for st in problem.settings
+        )
+        # settings x (argument, value) groups and settings x solutions, as 0/1
+        # columns: one product with a batch of masks gives every part size
+        n = len(self.ids)
+        self._group_table = _bits([g for groups in self.arg_groups for g in groups], n).T.astype(np.float32)
+        self._group_starts = np.cumsum([0] + [len(groups) for groups in self.arg_groups[:-1]])
+        self._solution_table = _bits(self.solution_masks, n).T.astype(np.float32)
         self._memo: dict[int, int] = {}
         self._greedy_memo: dict[int, int] = {}
 
@@ -646,7 +672,7 @@ class _TreeSolver:
             raise ValueError("empty candidate set")
         return mask
 
-    def _constant(self, mask: int) -> bool:
+    def constant(self, mask: int) -> bool:
         first = (mask & -mask).bit_length() - 1
         return mask & ~self.sol_mask_of[first] == 0
 
@@ -673,7 +699,7 @@ class _TreeSolver:
                 best_parts = parts
         args = tuple(a for a, _ in splits)
         value = 1 + max(
-            0 if self._constant(p) else self._greedy(p, self._splits(p, args)) for p in best_parts
+            0 if self.constant(p) else self._greedy(p, self._splits(p, args)) for p in best_parts
         )
         self._greedy_memo[mask] = value
         return value
@@ -691,14 +717,18 @@ class _TreeSolver:
         cached = self._memo.get(mask)
         if cached is not None:
             return cached
-        if self._constant(mask):
+        if self.constant(mask):
             self._memo[mask] = 0
             return 0
         splits = self._splits(mask, args)
         if not splits:
             raise ValueError("candidate settings are indistinguishable but disagree on the answer")
-        upper = self._greedy(mask, splits)
         lower = self._lower(mask, splits)
+        size = mask.bit_count()
+        if self.free_bound and lower >= size - 1:
+            self._memo[mask] = size - 1
+            return size - 1
+        upper = self._greedy(mask, splits)
         if lower >= upper:
             self._memo[mask] = upper
             return upper
@@ -720,7 +750,34 @@ class _TreeSolver:
         return best
 
     def cost(self, mask: int) -> int:
-        return self._cost(mask, tuple(range(len(self.arg_groups))))
+        cached = self._memo.get(mask)
+        return cached if cached is not None else self._cost(mask, self.args)
+
+    def costs(self, masks: Iterable[int]) -> list[int]:
+        """The cost of each mask; the top-node tests run for all new masks at once.
+
+        One matrix product gives every argument's part sizes and every
+        solution block's size in each mask.  From them come the constant
+        test and, for the free bound, the pigeonhole lower bound exactly as
+        ``_cost`` derives them; masks they settle go straight into the memo,
+        and the rest take the scalar recursion.
+        """
+        masks = list(masks)
+        fresh = [m for m in dict.fromkeys(masks) if m not in self._memo]
+        if fresh:
+            bits = _bits(fresh, len(self.ids)).astype(np.float32)
+            size = bits.sum(axis=1)
+            block = (bits @ self._solution_table).max(axis=1)
+            largest = np.maximum.reduceat(bits @ self._group_table, self._group_starts, axis=1).min(axis=1)
+            # lower = ceil((size - block) / (size - largest)) >= size - 1
+            elimination = size - largest
+            free = (elimination > 0) & (size - block > (size - 2) * elimination) & self.free_bound
+            for mask, constant, closed in zip(fresh, (block == size).tolist(), free.tolist()):
+                if constant:
+                    self._memo[mask] = 0
+                elif closed:
+                    self._memo[mask] = mask.bit_count() - 1
+        return [self.cost(m) for m in masks]
 
 
 @functools.lru_cache(maxsize=16)
@@ -769,8 +826,7 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
         costs = Counter()
         sizes = Counter()
         epsilons: dict[int, float] = {}
-        for mask, _ in instances:
-            cost = solver.cost(mask)
+        for mask, cost in zip(instances, solver.costs(instances)):
             costs[cost] += 1
             sizes[mask.bit_count()] += 1
             predicted = cost if predicted is None else max(predicted, cost)

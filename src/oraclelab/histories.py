@@ -17,7 +17,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .akrule import AkInstance, decision_tree_cost
+from .akrule import AkInstance, _solver
 from .circuits import Circuit
 from .oracle import OracleProblem, evaluate
 from .qstate import BitString
@@ -110,13 +110,6 @@ def path_sum(histories: Iterable[History], initial: int, final: int) -> complex:
     return total
 
 
-def _partition(problem: OracleProblem, candidates: frozenset[BitString], a: BitString):
-    groups: dict[int, set[BitString]] = {}
-    for b in candidates:
-        groups.setdefault(evaluate(problem, b, a).value, set()).add(b)
-    return groups
-
-
 def _optimal_transcript(
     problem: OracleProblem,
     subset: frozenset[BitString],
@@ -128,20 +121,24 @@ def _optimal_transcript(
     Each query must split the current candidates and attain the minimax cost;
     candidates are then filtered by the value the true setting returns.  The
     transcript must end with the answer determined and no queries wasted.
+    Candidate sets are the problem solver's bitmasks, and a query's groups
+    are its argument's blocks.
     """
-    candidates = frozenset(subset)
+    solver = _solver(problem)
+    candidates = solver.mask_of(subset)
+    true_bit = solver.mask_of((true_setting,))
     for a in queries:
-        if len({problem.setting(b).solution for b in candidates}) == 1:
+        if solver.constant(candidates):
             return False  # queried after the answer was already fixed
-        total = decision_tree_cost(problem, candidates)
-        groups = _partition(problem, candidates, a)
+        total = solver.cost(candidates)
+        evaluate(problem, true_setting, a)  # rejects an argument of the wrong width
+        groups = [g & candidates for g in solver.arg_groups[a.value] if g & candidates]
         if len(groups) < 2:
             return False
-        worst = max(decision_tree_cost(problem, frozenset(g)) for g in groups.values())
-        if 1 + worst != total:
+        if 1 + max(solver.cost(g) for g in groups) != total:
             return False
-        candidates = frozenset(groups[evaluate(problem, true_setting, a).value])
-    return len({problem.setting(b).solution for b in candidates}) == 1
+        candidates = next(g for g in groups if g & true_bit)
+    return solver.constant(candidates)
 
 
 def classify_history(

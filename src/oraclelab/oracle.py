@@ -92,6 +92,19 @@ class OracleProblem:
             raise ValueError(f"outcome blocks must have equal sizes, got sizes {detail}")
         object.__setattr__(self, "_lookup", {st.id.value: st for st in ordered})
 
+    def __hash__(self) -> int:
+        # hashed once, on first use: caches keyed on the problem would
+        # otherwise rehash every table, and a problem never hashed pays nothing
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.name, self.arg_bits, self.out_bits, self.settings, self.default_family))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        # rebuild through __init__, so the hash is recomputed in the new process
+        return type(self), (self.name, self.arg_bits, self.out_bits, self.settings, self.default_family)
+
     @property
     def setting_width(self) -> int:
         return self.settings[0].id.width
@@ -237,7 +250,7 @@ def load_problem(document: str) -> OracleProblem:
     """Parse and validate a JSON problem document; errors carry field paths."""
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
         raise ProblemFormatError(f"document: not valid JSON ({exc})") from exc
     _require(isinstance(data, dict), "document", "expected a JSON object")
     for key in ("name", "arg_bits", "out_bits", "settings"):

@@ -265,6 +265,36 @@ class TestDecisionTree:
         with pytest.raises(ValueError, match="indistinguishable"):
             akrule.decision_tree_cost(problem, problem.setting_ids())
 
+    def test_free_bound_does_not_hide_indistinguishable_settings(self):
+        # 00 and 01 share a table but not an answer; with three distinct
+        # answers the pigeonhole bound alone would reach |S| - 1 = 2
+        settings = (
+            ol.Setting(bits("00"), (bits("0"), bits("0")), "a", bits("00")),
+            ol.Setting(bits("01"), (bits("0"), bits("0")), "b", bits("01")),
+            ol.Setting(bits("10"), (bits("1"), bits("0")), "c", bits("10")),
+        )
+        problem = ol.OracleProblem("stuck3", 1, 1, settings, "cells")
+        with pytest.raises(ValueError, match="indistinguishable"):
+            akrule.decision_tree_cost(problem, problem.setting_ids())
+        solver = akrule._TreeSolver(problem)
+        with pytest.raises(ValueError, match="indistinguishable"):
+            solver.costs([solver.mask_of(problem.setting_ids())])
+        # sets without the pair are still solved
+        assert akrule.decision_tree_cost(problem, [bits("00"), bits("10")]) == 1
+        assert solver.costs([0b101, 0b110, 0b001]) == [1, 1, 0]
+
+    def test_batched_costs_close_search_instances_without_expansion(self):
+        problem = ol.build_grover(4)
+        core = akrule._core(problem, "linear")
+        masks = list(akrule._instances(core, 5, True))
+        solver = akrule._TreeSolver(problem)
+        scanned = []
+        splits = solver._splits
+        solver._splits = lambda mask, args: scanned.append(mask) or splits(mask, args)
+        assert solver.costs(masks) == [3] * len(masks)
+        # the batched bounds settled every mask: the scalar recursion never ran
+        assert not scanned and sorted(solver._memo) == sorted(masks)
+
     def test_empty_candidates_rejected(self, grover2):
         with pytest.raises(ValueError):
             akrule.decision_tree_cost(grover2, [])

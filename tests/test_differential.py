@@ -1,11 +1,13 @@
-"""The partition core against brute force from the definitions.
+"""The partition core and the decision-tree solver against the definitions.
 
 ``brute_force_pairs`` in ``reference_tables`` tests every candidate spec pair
 with ``realized_subset`` and ``delta_entropy``.  ``enumerate_occam_pairs`` and
 ``setting_instances`` must give the same subsets and specs, in the same
 order, on the built-in n<=2 problems and on generated valid problems: equal
 outcome blocks, a consistent outcome-to-solution map, at most 8 table cells
-and at most 4 setting bits.
+and at most 4 setting bits.  ``decision_tree_cost`` must equal the memo-free
+``plain_minimax_cost`` on generated problems, and raise exactly where it
+raises, on sets holding two settings with equal tables and different answers.
 """
 
 import pytest
@@ -17,7 +19,7 @@ from oraclelab import akrule
 from oraclelab.akrule import AkConfig
 from oraclelab.qstate import BitString
 
-from reference_tables import bfs_subspaces, brute_force_pairs
+from reference_tables import bfs_subspaces, brute_force_pairs, plain_minimax_cost
 
 MODES = [(family, complementary) for family in ("cells", "linear") for complementary in (True, False)]
 
@@ -88,3 +90,80 @@ def generated_problems(draw):
 def test_generated_problems_match_brute_force(case, family, complementary):
     problem, b_star = case
     assert_matches_reference(problem, b_star, family, complementary)
+
+
+@st.composite
+def solver_problems(draw):
+    """A problem whose tables may repeat, with or without a shared answer, and candidate masks.
+
+    Each setting has its own outcome, so any answers are valid; tables come
+    from a small pool so that equal tables are common.
+    """
+    arg_bits = draw(st.integers(1, 3))
+    out_bits = draw(st.integers(1, min(arg_bits, 2)))
+    size = draw(st.integers(1, 9))
+    width = max(1, (size - 1).bit_length())
+    pool = draw(st.integers(1, min(size + 2, 1 << (out_bits << arg_bits))))
+    tables = draw(st.lists(st.integers(0, pool - 1), min_size=size, max_size=size))
+    n_answers = draw(st.integers(1, size))
+    answers = draw(st.lists(st.integers(0, n_answers - 1), min_size=size, max_size=size))
+    entry = (1 << out_bits) - 1
+    settings_ = [
+        ol.Setting(
+            BitString(k, width),
+            tuple(BitString((t >> (out_bits * a)) & entry, out_bits) for a in range(1 << arg_bits)),
+            f"s{answer}",
+            BitString(k, width),
+        )
+        for k, (t, answer) in enumerate(zip(tables, answers))
+    ]
+    problem = ol.OracleProblem("generated", arg_bits, out_bits, tuple(settings_), "cells")
+    masks = draw(st.lists(st.integers(1, (1 << size) - 1), min_size=1, max_size=8))
+    return problem, masks
+
+
+def reference_cost(problem, mask):
+    """plain_minimax_cost on the mask's settings, or ValueError where it finds indistinguishable ones."""
+    tables = {st.id.text: tuple(e.value for e in st.table) for st in problem.settings}
+    solutions = {st.id.text: st.solution for st in problem.settings}
+    candidates = [st.id.text for k, st in enumerate(problem.settings) if mask >> k & 1]
+    try:
+        return plain_minimax_cost(tables, solutions, candidates)
+    except AssertionError:
+        return ValueError
+
+
+def outcome(solve, *args):
+    """What solve returns, or ValueError where it rejects indistinguishable settings."""
+    try:
+        return solve(*args)
+    except ValueError as exc:
+        assert "indistinguishable" in str(exc)
+        return ValueError
+
+
+@settings(deadline=None)
+@given(case=solver_problems())
+def test_solver_matches_plain_minimax(case):
+    problem, masks = case
+    ids = problem.setting_ids()
+    for mask in masks:
+        expected = reference_cost(problem, mask)
+        subset = [b for k, b in enumerate(ids) if mask >> k & 1]
+        assert outcome(akrule.decision_tree_cost, problem, subset) == expected
+        assert outcome(akrule._TreeSolver(problem).cost, mask) == expected
+
+
+@settings(deadline=None)
+@given(case=solver_problems())
+def test_batched_costs_match_scalar_costs(case):
+    problem, masks = case
+    scalar = akrule._TreeSolver(problem)
+    expected = [outcome(scalar.cost, mask) for mask in masks]
+    if ValueError in expected:
+        with pytest.raises(ValueError, match="indistinguishable"):
+            akrule._TreeSolver(problem).costs(masks)
+        singles = [outcome(akrule._TreeSolver(problem).costs, [mask]) for mask in masks]
+        assert [c if c is ValueError else c[0] for c in singles] == expected
+    else:
+        assert akrule._TreeSolver(problem).costs(masks) == expected

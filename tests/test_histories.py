@@ -192,6 +192,30 @@ class TestClassification:
         assert cls.consistent == ()
 
 
+class TestOptimalTranscript:
+    """Multi-query transcripts on a search flat of four settings (cost 3)."""
+
+    FLAT = frozenset(bits(t) for t in ("0000", "0001", "0010", "0011"))
+
+    @pytest.mark.parametrize("queries,true,expected", [
+        (("0000", "0001", "0010"), "0011", True),
+        (("0011", "0000", "0001"), "0010", True),
+        (("0000", "0001"), "0011", False),  # answer still open
+        (("0000", "0001", "0010", "0011"), "0011", False),  # query after the answer is fixed
+        (("0000", "0001", "0010"), "0000", False),  # first query already pins the answer
+        (("0100", "0000", "0001"), "0011", False),  # 0100 does not split the flat
+    ])
+    def test_sequences(self, queries, true, expected):
+        problem = ol.build_grover(4)
+        args = [bits(q) for q in queries]
+        assert histories._optimal_transcript(problem, self.FLAT, args, bits(true)) is expected
+
+    def test_argument_width_checked(self):
+        problem = ol.build_grover(4)
+        with pytest.raises(ValueError, match="argument width"):
+            histories._optimal_transcript(problem, self.FLAT, [bits("00")], bits("0000"))
+
+
 class TestSerialization:
     def test_jsonl_and_records(self, grover_circuit):
         problem = grover_circuit.problem

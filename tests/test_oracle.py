@@ -1,8 +1,12 @@
 import json
+import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oraclelab as ol
+from oraclelab.cli import main
 from oraclelab.oracle import ProblemFormatError
 from oraclelab.qstate import BitString
 
@@ -253,6 +257,80 @@ class TestSerialization:
             doc[field] = value
         with pytest.raises(ProblemFormatError, match=path):
             ol.load_problem(json.dumps(doc))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+VALID_DOCUMENT = {
+    "name": "tiny",
+    "arg_bits": 1,
+    "out_bits": 1,
+    "family": "cells",
+    "settings": [
+        {"id": "0", "table": ["1", "0"], "solution": "0", "a_outcome": "0"},
+        {"id": "1", "table": ["0", "1"], "solution": "1", "a_outcome": "1"},
+    ],
+}
+
+
+@st.composite
+def mutated_documents(draw):
+    """The valid document with one to three fields, settings fields or cells replaced or dropped."""
+    doc = json.loads(json.dumps(VALID_DOCUMENT))
+    for _ in range(draw(st.integers(1, 3))):
+        value = draw(JSON_VALUES)
+        where = draw(st.sampled_from(["document", "setting", "cell"]))
+        if where == "document":
+            key = draw(st.sampled_from(sorted(VALID_DOCUMENT)))
+            if draw(st.booleans()):
+                doc[key] = value
+            else:
+                doc.pop(key, None)
+            continue
+        settings_ = doc.get("settings")
+        if not isinstance(settings_, list) or not settings_:
+            continue
+        setting = settings_[draw(st.integers(0, len(settings_) - 1))]
+        if not isinstance(setting, dict):
+            continue
+        if where == "setting":
+            setting[draw(st.sampled_from(sorted(VALID_DOCUMENT["settings"][0])))] = value
+        elif isinstance(setting.get("table"), list) and setting["table"]:
+            setting["table"][draw(st.integers(0, len(setting["table"]) - 1))] = value
+    return doc
+
+
+class TestLoaderFuzz:
+    @settings(deadline=None)
+    @given(document=st.one_of(JSON_VALUES, mutated_documents()).map(json.dumps))
+    @example(document="1" * 5000)  # past the interpreter's integer-digit limit
+    @example(document="[" * 100000)  # deeper than the recursion limit
+    def test_only_format_errors_escape(self, document, tmp_path_factory):
+        try:
+            ol.load_problem(document)
+        except ProblemFormatError:
+            path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+            path.write_text(document)
+            assert main(["predict", "--problem", f"file:{path}"]) == 2
+
+
+class TestProblemHash:
+    def test_equal_problems_built_apart_hash_and_compare_equal(self, simon2):
+        for problem, again in (
+            (ol.build_grover(4), ol.build_grover(4)),
+            (simon2, ol.load_problem(ol.serialize_problem(simon2))),
+            (simon2, pickle.loads(pickle.dumps(simon2))),
+        ):
+            assert problem is not again
+            assert problem == again and hash(problem) == hash(again)
+        renamed = ol.OracleProblem("other", simon2.arg_bits, simon2.out_bits, simon2.settings, "cells")
+        assert renamed != simon2
+        # settings given in another order are sorted before the hash is taken
+        shuffled = ol.OracleProblem("simon", 2, 1, simon2.settings[::-1], "cells")
+        assert shuffled == simon2 and hash(shuffled) == hash(simon2)
 
 
 class TestSelectors:
