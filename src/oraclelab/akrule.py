@@ -199,10 +199,6 @@ def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(rows, reverse=True))
 
 
-def _rank(vectors: Iterable[int]) -> int:
-    return len(_rref(vectors))
-
-
 def _dot(mask: int, value: int) -> int:
     return bin(mask & value).count("1") & 1
 
@@ -628,10 +624,13 @@ class _TreeSolver:
 
     The recursion follows the textbook definition: zero when the answer is
     constant on the set, else one plus the best argument's worst observed
-    branch, over arguments that split the set.  Bounds close structured cases
-    without expanding them: the pigeonhole lower bound against the free upper
-    bound |S| - 1, then against the greedy upper bound.  An argument's groups
-    are the blocks of its single-cell readout.
+    branch, over arguments that split the set.  A set is decidable when no
+    two of its settings share a table but not an answer; that is checked once,
+    where a set enters the solver, and every subset of a decidable set is
+    decidable.  On such a set a splitting query shrinks every branch, so
+    |S| - 1 is an upper bound, and the pigeonhole lower bound closes
+    structured cases against it without expansion.  An argument's groups are
+    the blocks of its single-cell readout.
     """
 
     def __init__(self, problem: OracleProblem):
@@ -645,13 +644,9 @@ class _TreeSolver:
         self.args = tuple(range(len(self.arg_groups)))
         self.sol_mask_of = _partition(st.solution for st in problem.settings)
         self.solution_masks = tuple(dict.fromkeys(self.sol_mask_of))
-        # A splitting query shrinks every branch, so cost(S) <= |S| - 1, but
-        # only when every two settings with different answers have different
-        # tables; otherwise sets holding such a pair must still raise.
-        answers: dict[tuple[BitString, ...], str] = {}
-        self.free_bound = all(
-            answers.setdefault(st.table, st.solution) == st.solution for st in problem.settings
-        )
+        # the table classes holding settings with different answers
+        tables = _partition(tuple(e.value for e in st.table) for st in problem.settings)
+        self._undecidable = tuple(block for block in dict.fromkeys(tables) if not self.constant(block))
         # settings x (argument, value) groups and settings x solutions, as 0/1
         # columns: one product with a batch of masks gives every part size
         n = len(self.ids)
@@ -659,7 +654,6 @@ class _TreeSolver:
         self._group_starts = np.cumsum([0] + [len(groups) for groups in self.arg_groups[:-1]])
         self._solution_table = _bits(self.solution_masks, n).T.astype(np.float32)
         self._memo: dict[int, int] = {}
-        self._greedy_memo: dict[int, int] = {}
 
     def mask_of(self, candidates: Iterable[BitString]) -> int:
         mask = 0
@@ -684,26 +678,6 @@ class _TreeSolver:
                 out.append((a, parts))
         return out
 
-    def _greedy(self, mask: int, splits) -> int:
-        cached = self._greedy_memo.get(mask)
-        if cached is not None:
-            return cached
-        if not splits:
-            raise ValueError("candidate settings are indistinguishable but disagree on the answer")
-        best_parts = None
-        best_largest = None
-        for _, parts in splits:
-            largest = max(p.bit_count() for p in parts)
-            if best_largest is None or largest < best_largest:
-                best_largest = largest
-                best_parts = parts
-        args = tuple(a for a, _ in splits)
-        value = 1 + max(
-            0 if self.constant(p) else self._greedy(p, self._splits(p, args)) for p in best_parts
-        )
-        self._greedy_memo[mask] = value
-        return value
-
     def _lower(self, mask: int, splits) -> int:
         size = mask.bit_count()
         largest_block = max((sol_mask & mask).bit_count() for sol_mask in self.solution_masks)
@@ -712,8 +686,18 @@ class _TreeSolver:
         )
         return -((size - largest_block) // -best_elimination)
 
+    def _check(self, mask: int) -> None:
+        for block in self._undecidable:
+            part = mask & block
+            if part and not self.constant(part):
+                raise ValueError("candidate settings are indistinguishable but disagree on the answer")
+
     def _cost(self, mask: int, args: tuple[int, ...]) -> int:
-        """Exact minimax cost; args need only contain every splitter of mask."""
+        """Exact minimax cost of a decidable set; args need only contain every splitter of mask.
+
+        Branch and bound starts from |S| - 1 and stops once the best tree
+        meets the pigeonhole lower bound.
+        """
         cached = self._memo.get(mask)
         if cached is not None:
             return cached
@@ -721,20 +705,12 @@ class _TreeSolver:
             self._memo[mask] = 0
             return 0
         splits = self._splits(mask, args)
-        if not splits:
-            raise ValueError("candidate settings are indistinguishable but disagree on the answer")
         lower = self._lower(mask, splits)
-        size = mask.bit_count()
-        if self.free_bound and lower >= size - 1:
-            self._memo[mask] = size - 1
-            return size - 1
-        upper = self._greedy(mask, splits)
-        if lower >= upper:
-            self._memo[mask] = upper
-            return upper
-        best = upper
+        best = mask.bit_count() - 1
         narrowed = tuple(a for a, _ in splits)
         for _, parts in splits:
+            if best <= lower:
+                break
             worst = 0
             for part in parts:
                 c = self._cost(part, narrowed)
@@ -744,40 +720,45 @@ class _TreeSolver:
                 worst = max(worst, c)
             if worst is not None:
                 best = min(best, 1 + worst)
-                if best == lower:
-                    break
         self._memo[mask] = best
         return best
 
     def cost(self, mask: int) -> int:
         cached = self._memo.get(mask)
-        return cached if cached is not None else self._cost(mask, self.args)
+        if cached is not None:
+            return cached
+        self._check(mask)
+        return self._cost(mask, self.args)
 
     def costs(self, masks: Iterable[int]) -> list[int]:
         """The cost of each mask; the top-node tests run for all new masks at once.
 
-        One matrix product gives every argument's part sizes and every
-        solution block's size in each mask.  From them come the constant
-        test and, for the free bound, the pigeonhole lower bound exactly as
-        ``_cost`` derives them; masks they settle go straight into the memo,
-        and the rest take the scalar recursion.
+        Each new mask is checked for decidability first.  One matrix product
+        then gives every argument's part sizes and every solution block's
+        size in each mask.  From them come the constant test and the
+        pigeonhole lower bound exactly as ``_cost`` derives them; masks
+        closed at 0 or at |S| - 1 go straight into the memo, and the rest
+        take the scalar recursion.
         """
         masks = list(masks)
         fresh = [m for m in dict.fromkeys(masks) if m not in self._memo]
         if fresh:
+            if self._undecidable:
+                for mask in fresh:
+                    self._check(mask)
             bits = _bits(fresh, len(self.ids)).astype(np.float32)
             size = bits.sum(axis=1)
             block = (bits @ self._solution_table).max(axis=1)
             largest = np.maximum.reduceat(bits @ self._group_table, self._group_starts, axis=1).min(axis=1)
             # lower = ceil((size - block) / (size - largest)) >= size - 1
             elimination = size - largest
-            free = (elimination > 0) & (size - block > (size - 2) * elimination) & self.free_bound
-            for mask, constant, closed in zip(fresh, (block == size).tolist(), free.tolist()):
+            at_upper = (elimination > 0) & (size - block > (size - 2) * elimination)
+            for mask, constant, closed in zip(fresh, (block == size).tolist(), at_upper.tolist()):
                 if constant:
                     self._memo[mask] = 0
                 elif closed:
                     self._memo[mask] = mask.bit_count() - 1
-        return [self.cost(m) for m in masks]
+        return [self._cost(m, self.args) for m in masks]
 
 
 @functools.lru_cache(maxsize=16)

@@ -190,7 +190,7 @@ def _cmd_verify(args) -> int:
     failures = 0
     for result in results:
         status = "PASS" if result.ok else "FAIL"
-        line = f"{status} {result.check.id}: {result.check.title}"
+        line = f"{status} {result.check.id}: {result.check.title} [{result.seconds:.2f} s]"
         if not result.ok:
             failures += 1
             line += f" :: {result.detail}"

@@ -10,6 +10,7 @@ problem's entropy value at 1e-6, Monte-Carlo phase averaging at 1e-2 with
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -495,14 +496,16 @@ class CheckResult:
     check: Check
     ok: bool
     detail: str
+    seconds: float
 
 
 def run_check(check: Check) -> CheckResult:
+    start = time.perf_counter()
     try:
         check.fn()
     except AssertionError as exc:
-        return CheckResult(check, False, str(exc))
-    return CheckResult(check, True, "")
+        return CheckResult(check, False, str(exc), time.perf_counter() - start)
+    return CheckResult(check, True, "", time.perf_counter() - start)
 
 
 def run_all(only: str | None = None) -> list[CheckResult]:

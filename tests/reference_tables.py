@@ -3,9 +3,10 @@
 Everything here is spelled out from the problem definitions rather than
 imported from the package: truth tables as literals, stage matrices built from
 first principles with numpy, a plain (memo-free) minimax recursion for query
-costs, and a breadth-first listing of GF(2) subspaces.  The brute-force pair
-search is the one exception: it tests every candidate spec pair with the
-package's definitional ``realized_subset`` and ``delta_entropy``.
+costs and its memoized twin for larger sets, and a breadth-first listing of
+GF(2) subspaces.  The brute-force pair search is the one exception: it tests
+every candidate spec pair with the package's definitional ``realized_subset``
+and ``delta_entropy``.
 """
 
 from __future__ import annotations
@@ -137,6 +138,35 @@ def plain_minimax_cost(tables: dict[str, tuple[int, ...]], solutions: dict[str, 
             best = 1 + worst
     if best is None:
         raise AssertionError("indistinguishable candidates")
+    return best
+
+
+def memo_minimax_cost(tables: dict[str, tuple[int, ...]], solutions: dict[str, str], candidates, memo=None) -> int:
+    """The recursion of ``plain_minimax_cost``, memoized on the sorted candidate tuple.
+
+    No bound prunes it, so it expands every set reachable by splitting; the
+    memo makes that affordable on sets of a few dozen settings.
+    """
+    memo = {} if memo is None else memo
+    candidates = tuple(sorted(candidates))
+    if candidates in memo:
+        return memo[candidates]
+    best = None
+    if len({solutions[b] for b in candidates}) == 1:
+        best = 0
+    else:
+        for a in range(len(next(iter(tables.values())))):
+            groups: dict[int, list[str]] = {}
+            for b in candidates:
+                groups.setdefault(tables[b][a], []).append(b)
+            if len(groups) < 2:
+                continue
+            worst = max(memo_minimax_cost(tables, solutions, group, memo) for group in groups.values())
+            if best is None or 1 + worst < best:
+                best = 1 + worst
+    if best is None:
+        raise AssertionError("indistinguishable candidates")
+    memo[candidates] = best
     return best
 
 

@@ -392,7 +392,7 @@ class TestOccamAudit:
                     else:
                         masks = [m.value for m in pair.spec_i.masks + pair.spec_j.masks]
                         assert len(masks) == problem.setting_width
-                        assert akrule._rank(tuple(masks)) == problem.setting_width
+                        assert len(akrule._rref(masks)) == problem.setting_width
 
 
 class TestFamilyGuards:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -174,6 +175,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--only", "criterion-2")
         assert code == 0
         assert out.startswith("PASS criterion-2")
+
+    def test_check_line_ends_with_its_seconds(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--only", "criterion-2")
+        assert code == 0
+        assert re.search(r" \[\d+\.\d\d s\]$", out.splitlines()[0])
 
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--only", "criterion-99")

@@ -7,8 +7,14 @@ order, on the built-in n<=2 problems and on generated valid problems: equal
 outcome blocks, a consistent outcome-to-solution map, at most 8 table cells
 and at most 4 setting bits.  ``decision_tree_cost`` must equal the memo-free
 ``plain_minimax_cost`` on generated problems, and raise exactly where it
-raises, on sets holding two settings with equal tables and different answers.
+raises, on sets holding two settings with equal tables and different answers;
+on sets of up to 24 settings, too large for the plain recursion, it must
+equal ``memo_minimax_cost``.  The two entropy routes must agree on every
+realized subset of generated problems.
 """
+
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +23,9 @@ from hypothesis import strategies as st
 import oraclelab as ol
 from oraclelab import akrule
 from oraclelab.akrule import AkConfig
-from oraclelab.qstate import BitString
+from oraclelab.qstate import ATOL, BitString
 
-from reference_tables import bfs_subspaces, brute_force_pairs, plain_minimax_cost
+from reference_tables import bfs_subspaces, brute_force_pairs, memo_minimax_cost, plain_minimax_cost, reference_specs
 
 MODES = [(family, complementary) for family in ("cells", "linear") for complementary in (True, False)]
 
@@ -92,6 +98,19 @@ def test_generated_problems_match_brute_force(case, family, complementary):
     assert_matches_reference(problem, b_star, family, complementary)
 
 
+@settings(deadline=None)
+@given(case=generated_problems())
+def test_generated_problems_entropy_routes_agree(case):
+    problem, b_star = case
+    subsets = {
+        akrule.realized_subset(problem, spec, b_star)
+        for family in ("cells", "linear")
+        for spec in reference_specs(problem, family)
+    }
+    for subset in subsets:
+        assert abs(akrule.delta_entropy(problem, subset) - akrule.delta_entropy_via_states(problem, subset)) <= ATOL
+
+
 @st.composite
 def solver_problems(draw):
     """A problem whose tables may repeat, with or without a shared answer, and candidate masks.
@@ -122,10 +141,15 @@ def solver_problems(draw):
     return problem, masks
 
 
+def definitions(problem):
+    """Tables and answers keyed by id text, the form the reference minimax takes."""
+    tables = {st.id.text: tuple(e.value for e in st.table) for st in problem.settings}
+    return tables, {st.id.text: st.solution for st in problem.settings}
+
+
 def reference_cost(problem, mask):
     """plain_minimax_cost on the mask's settings, or ValueError where it finds indistinguishable ones."""
-    tables = {st.id.text: tuple(e.value for e in st.table) for st in problem.settings}
-    solutions = {st.id.text: st.solution for st in problem.settings}
+    tables, solutions = definitions(problem)
     candidates = [st.id.text for k, st in enumerate(problem.settings) if mask >> k & 1]
     try:
         return plain_minimax_cost(tables, solutions, candidates)
@@ -167,3 +191,21 @@ def test_batched_costs_match_scalar_costs(case):
         assert [c if c is ValueError else c[0] for c in singles] == expected
     else:
         assert akrule._TreeSolver(problem).costs(masks) == expected
+
+
+@pytest.mark.parametrize("source", ["simon:n=3", "random_seed1.json"])
+def test_solver_matches_memoized_minimax_on_large_sets(source):
+    if source.endswith(".json"):
+        problem = ol.load_problem((Path(__file__).parent / "golden" / source).read_text())
+    else:
+        problem = ol.parse_selector(source)
+    tables, solutions = definitions(problem)
+    ids = problem.setting_ids()
+    solver = akrule._TreeSolver(problem)
+    memo = {}
+    rng = random.Random(20240517)
+    for _ in range(100):
+        subset = rng.sample(ids, rng.randint(1, min(24, len(ids))))
+        expected = memo_minimax_cost(tables, solutions, [b.text for b in subset], memo)
+        assert solver.cost(solver.mask_of(subset)) == expected
+        assert akrule.decision_tree_cost(problem, subset) == expected
