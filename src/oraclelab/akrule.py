@@ -26,14 +26,14 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .oracle import OracleProblem, build_grover, output_ensemble
-from .qstate import BitString, project_setting_subset, reduced_entropy
+from .qstate import BitString, BranchEnsemble, project_setting_subset, reduced_entropy
 
 MAX_LINEAR_WIDTH = 6
 MAX_CELLS_POSITIONS = 16
@@ -515,7 +515,8 @@ def realized_subset(problem: OracleProblem, spec: MeasurementSpec, b_star: BitSt
 
 
 def _outcome_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
-    return _entropy(Counter(problem.setting(b).a_outcome.value for b in subset).values())
+    # summed over the ascending counts, as the core does, so both give the same float
+    return _entropy(sorted(Counter(problem.setting(b).a_outcome.value for b in subset).values()))
 
 
 def delta_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
@@ -532,10 +533,16 @@ def delta_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
     return _outcome_entropy(problem, problem.setting_ids()) - _outcome_entropy(problem, subset)
 
 
+@functools.lru_cache(maxsize=16)
+def _solved(problem: OracleProblem) -> tuple[BranchEnsemble, float]:
+    """The problem's output ensemble and its register-A entropy, built once."""
+    out = output_ensemble(problem)
+    return out, reduced_entropy(out, "A")
+
+
 def delta_entropy_via_states(problem: OracleProblem, subset: Iterable[BitString]) -> float:
     """The same entropy drop via reduced density operators of projected output states."""
-    out = output_ensemble(problem)
-    whole = reduced_entropy(out, "A")
+    out, whole = _solved(problem)
     return whole - reduced_entropy(project_setting_subset(out, subset), "A")
 
 
@@ -782,6 +789,38 @@ def decision_tree_cost(problem: OracleProblem, candidates: Iterable[BitString]) 
 # Prediction
 
 
+def _translations(core: _Core, solver: _TreeSolver) -> tuple[int, ...]:
+    """The xor shifts t of the setting ids that are automorphisms of the problem.
+
+    A shift is kept when b -> b ^ t permutes the settings, maps the outcome
+    partition and the solution partition block for block onto themselves,
+    and maps the multiset of argument partitions onto itself.  A shift that
+    permutes the settings moves ids[0] onto some id v, so the candidates are
+    ids[0] ^ v.  The kept shifts form a group, {0} when there is no
+    symmetry, so one test decides a whole coset of the group found so far.
+    """
+    values = [b.value for b in core.ids]
+    outcome, solution = frozenset(core.outcome), frozenset(solver.sol_mask_of)
+    args = Counter(frozenset(groups) for groups in solver.arg_groups)
+    kept, decided = [0], {0}
+    for t in (values[0] ^ v for v in values):
+        if t in decided:
+            continue
+        coset = [t ^ u for u in kept]
+        decided.update(coset)
+        perm = [core.position.get(v ^ t) for v in values]
+        if None in perm:
+            continue
+
+        def image(blocks: Iterable[int]) -> frozenset[int]:
+            return frozenset(sum(1 << perm[i] for i in _members(block)) for block in blocks)
+
+        if image(outcome) == outcome and image(solution) == solution:
+            if Counter(image(groups) for groups in solver.arg_groups) == args:
+                kept += coset
+    return tuple(sorted(kept))
+
+
 def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> QueryReport:
     """The headline query prediction and the classical baseline for a problem.
 
@@ -790,39 +829,42 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
     rather than skipped.  Search problems additionally carry the closed-form
     count ``2^(n/2) - 1`` and the reference ``ceil(pi/4 * 2^(n/2))`` for even
     widths, and a split note for odd widths where no exact half exists.
+
+    Settings are scanned one per orbit of the problem's xor-translation
+    symmetries (``_translations``): a shift t maps every block at b onto a
+    block at b ^ t with the same outcome counts, answers and decision-tree
+    cost, so the report of the orbit's lowest id is copied to the rest.
+    Each entropy key's epsilon comes from its least outcome-count tuple, so
+    the copy is exact to the last bit.
     """
     config, core = _resolve(problem, config)
     solver = _solver(problem)
     baseline = solver.cost((1 << len(core.ids)) - 1)
+    shifts = _translations(core, solver)
 
-    reports = []
-    predicted: int | None = None
-    missing: list[str] = []
+    reports: list[SettingReport] = []
     for i, b_star in enumerate(core.ids):
-        instances = _instances(core, i, config.complementary)
-        if not instances:
-            missing.append(b_star.text)
-            reports.append(SettingReport(b_star, (), (), (), True))
+        representative = min(b_star.value ^ t for t in shifts)
+        if representative < b_star.value:
+            # ids ascend, so the representative's report is already made
+            reports.append(replace(reports[core.position[representative]], setting=b_star))
             continue
-        costs = Counter()
-        sizes = Counter()
-        epsilons: dict[int, float] = {}
-        for mask, cost in zip(instances, solver.costs(instances)):
-            costs[cost] += 1
-            sizes[mask.bit_count()] += 1
-            predicted = cost if predicted is None else max(predicted, cost)
-            key = core.facts(mask)[1]
-            if key not in epsilons:
-                epsilons[key] = core.epsilon(mask)
+        instances = _instances(core, i, config.complementary)
+        counts: dict[int, tuple[int, ...]] = {}
+        for mask in instances:
+            key, mine = core.facts(mask)[1], core._counts(mask)
+            counts[key] = min(counts.get(key, mine), mine)
         reports.append(
             SettingReport(
                 b_star,
-                tuple(sorted(epsilons.values())),
-                tuple(sorted(sizes.items())),
-                tuple(sorted(costs.items())),
-                False,
+                tuple(sorted(core.full_entropy - _entropy(c) for c in counts.values())),
+                tuple(sorted(Counter(mask.bit_count() for mask in instances).items())),
+                tuple(sorted(Counter(solver.costs(instances)).items())),
+                not instances,
             )
         )
+    predicted = max((cost for rep in reports for cost, _ in rep.instance_costs), default=None)
+    missing = [rep.setting.text for rep in reports if rep.no_instance]
 
     notes: list[str] = []
     if missing:

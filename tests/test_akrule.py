@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +365,76 @@ class TestPredict:
         assert payload["baseline_queries"] == 3
         assert payload["predicted_queries"] == 1
         assert payload["per_setting"][0]["epsilons"] == [round(LOG2_3 - 1.0, 6)]
+
+
+def translations(problem):
+    return akrule._translations(akrule._core(problem, problem.default_family), akrule._solver(problem))
+
+
+def grover_document(n):
+    return json.loads(ol.serialize_problem(ol.build_grover(n)))
+
+
+class TestTranslations:
+    """The xor shifts of the setting ids that ``predict_queries`` transports reports along."""
+
+    @pytest.mark.parametrize(
+        "source,size",
+        [
+            ("grover:n=6", 64),
+            ("grover:n=4", 16),
+            ("simon:n=3", 4),
+            ("dj:n=2", 2),
+            ("simon:n=2", 2),
+            ("dj:n=1", 4),
+            ("random_seed1.json", 1),
+        ],
+    )
+    def test_group_sizes(self, source, size):
+        if source.endswith(".json"):
+            problem = ol.load_problem((Path(__file__).parent / "golden" / source).read_text())
+        else:
+            problem = ol.parse_selector(source)
+        shifts = translations(problem)
+        assert len(shifts) == size
+        assert {s ^ t for s in shifts for t in shifts} == set(shifts)
+
+    def test_ids_not_closed_under_shifts(self):
+        # relabel 11 as 111: every table, outcome and answer keeps its place,
+        # but no nonzero shift maps {000, 001, 010, 111} onto itself
+        doc = grover_document(2)
+        for st in doc["settings"]:
+            st["id"] = "111" if st["id"] == "11" else "0" + st["id"]
+        assert translations(ol.load_problem(json.dumps(doc))) == (0,)
+
+    def test_outcome_partition_broken(self):
+        # outcome pairs {000,001} {010,011} {100,101} {110,111} are kept by every
+        # shift; swapping the outcomes of 001 and 010 leaves pairs with
+        # difference 010 inside {0xx} and difference 001 inside {1xx}
+        doc = grover_document(3)
+        for st in doc["settings"]:
+            st["solution"] = "x"
+            st["a_outcome"] = st["id"][:2]
+        assert translations(ol.load_problem(json.dumps(doc))) == tuple(range(8))
+        outcome = {"001": "01", "010": "00"}
+        for st in doc["settings"]:
+            st["a_outcome"] = outcome.get(st["id"], st["a_outcome"])
+        assert translations(ol.load_problem(json.dumps(doc))) == (0, 1, 2, 3)
+
+    def test_solution_partition_broken(self):
+        # answers {00} {01} {10,11}: only the shift that swaps 10 and 11 keeps them
+        doc = grover_document(2)
+        for st in doc["settings"]:
+            st["solution"] = {"10": "c", "11": "c"}.get(st["id"], st["id"])
+        assert translations(ol.load_problem(json.dumps(doc))) == (0, 1)
+
+    def test_argument_partitions_broken(self):
+        # table of 00 permuted from 1000 to 0100: argument 0 no longer splits,
+        # argument 1 splits {00,01} from {10,11}, and the singletons {10} and
+        # {11} at arguments 2 and 3 are only swapped by the shift 01
+        doc = grover_document(2)
+        doc["settings"][0]["table"] = ["0", "1", "0", "0"]
+        assert translations(ol.load_problem(json.dumps(doc))) == (0, 1)
 
 
 class TestOccamAudit:

@@ -10,19 +10,27 @@ and at most 4 setting bits.  ``decision_tree_cost`` must equal the memo-free
 raises, on sets holding two settings with equal tables and different answers;
 on sets of up to 24 settings, too large for the plain recursion, it must
 equal ``memo_minimax_cost``.  The two entropy routes must agree on every
-realized subset of generated problems.
+realized subset of generated problems.  ``predict_queries``, which scans one
+setting per orbit of the problem's xor-translation symmetries, must equal a
+report assembled setting by setting from ``setting_instances``,
+``decision_tree_cost`` and ``delta_entropy``, epsilons included to the last
+bit, on the built-ins, on generated problems and on generated problems with
+a planted xor covariance.
 """
 
+import functools
 import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oraclelab as ol
 from oraclelab import akrule
-from oraclelab.akrule import AkConfig
+from oraclelab.akrule import AkConfig, SettingReport
 from oraclelab.qstate import ATOL, BitString
 
 from reference_tables import bfs_subspaces, brute_force_pairs, memo_minimax_cost, plain_minimax_cost, reference_specs
@@ -209,3 +217,185 @@ def test_solver_matches_memoized_minimax_on_large_sets(source):
         expected = memo_minimax_cost(tables, solutions, [b.text for b in subset], memo)
         assert solver.cost(solver.mask_of(subset)) == expected
         assert akrule.decision_tree_cost(problem, subset) == expected
+
+
+def unreduced_report(problem, config, settings_):
+    """The baseline and the settings' reports from the definitional paths, one setting at a time.
+
+    Each entropy key's epsilon is taken from its least ascending
+    outcome-count tuple, the canonical choice ``predict_queries`` makes.
+    """
+    baseline = akrule.decision_tree_cost(problem, problem.setting_ids())
+    reports = []
+    for b_star in settings_:
+        instances = akrule.setting_instances(problem, b_star, config)
+        least = {}
+        for inst in instances:
+            counts = tuple(sorted(Counter(problem.setting(b).a_outcome.value for b in inst.subset).values()))
+            key = akrule._entropy_key(counts)
+            if key not in least or counts < least[key][0]:
+                least[key] = (counts, inst.subset)
+        costs = Counter(akrule.decision_tree_cost(problem, inst.subset) for inst in instances)
+        reports.append(
+            SettingReport(
+                b_star,
+                tuple(sorted(akrule.delta_entropy(problem, subset) for _, subset in least.values())),
+                tuple(sorted(Counter(len(inst.subset) for inst in instances).items())),
+                tuple(sorted(costs.items())),
+                not instances,
+            )
+        )
+    return baseline, tuple(reports)
+
+
+def assert_reduction_exact(problem, family, complementary, stride=1):
+    """predict_queries against the unreduced reports of every stride-th setting."""
+    config = AkConfig(family=family, complementary=complementary)
+    report = outcome(akrule.predict_queries, problem, config)
+    expected = outcome(unreduced_report, problem, config, problem.setting_ids()[::stride])
+    if report is ValueError or expected is ValueError:
+        assert report is expected
+        return
+    baseline, reports = expected
+    assert report.baseline_queries == baseline
+    assert report.per_setting[::stride] == reports
+    costs = [c for rep in report.per_setting for c, _ in rep.instance_costs]
+    assert report.predicted_queries == max(costs, default=None)
+
+
+# grover:n=4 cells without complementarity is left out: its unreduced
+# report alone takes minutes (16 settings of 65,536 specs, every pair).
+# On grover:n=6 every ninth setting is checked, 8 of 64, which keeps the
+# unreduced path to about a second per case.
+STRIDE = {"grover:n=6": 9}
+REDUCTION_CASES = [
+    (selector, family, complementary)
+    for selector, families in [
+        ("grover:n=1", ("cells", "linear")),
+        ("grover:n=2", ("cells", "linear")),
+        ("grover:n=3", ("cells", "linear")),
+        ("grover:n=4", ("cells", "linear")),
+        ("grover:n=5", ("linear",)),
+        ("grover:n=6", ("linear",)),
+        ("dj:n=1", ("cells", "linear")),
+        ("dj:n=2", ("cells", "linear")),
+        ("simon:n=2", ("cells", "linear")),
+        ("simon:n=3", ("cells",)),
+    ]
+    for family in families
+    for complementary in (True, False)
+    if (selector, family, complementary) != ("grover:n=4", "cells", False)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def builtin(selector):
+    # one object per selector, and no equal problem left in the package's
+    # caches by an earlier test: a lookup then matches by identity, where an
+    # equal but distinct problem is compared table by table on every call
+    akrule._core.cache_clear()
+    akrule._solver.cache_clear()
+    return ol.parse_selector(selector)
+
+
+@pytest.mark.parametrize("selector,family,complementary", REDUCTION_CASES)
+def test_orbit_reduced_predict_matches_unreduced_on_builtins(selector, family, complementary):
+    assert_reduction_exact(builtin(selector), family, complementary, STRIDE.get(selector, 1))
+
+
+@pytest.mark.parametrize("family,complementary", MODES)
+@settings(deadline=None)
+@given(case=generated_problems())
+def test_orbit_reduced_predict_matches_unreduced_on_generated_problems(case, family, complementary):
+    problem, _ = case
+    assert_reduction_exact(problem, family, complementary)
+
+
+@st.composite
+def covariant_problems(draw):
+    """A decidable problem with a planted group T of xor shifts, and the group.
+
+    Ids are a union of T-cosets; t acts on arguments by xor with its low
+    arg_bits bits, p(t), and each coset's tables are one drawn table moved
+    along it: T_(r^t)(a) = T_r(a ^ p(t)), so T_(b^t)(a ^ p(t)) = T_b(a).
+    Outcomes are the cosets of a subgroup U of T, answers the cosets of a
+    subgroup containing U, so every shift in T keeps both partitions.  The
+    group is returned empty when two settings then swap their tables, their
+    answers and outcomes, or their outcomes under one answer: that may
+    break some of the planted shifts.
+    """
+    arg_bits = draw(st.integers(2, 3))
+    out_bits = draw(st.integers(1, min(arg_bits, 2)))
+    width = draw(st.integers(arg_bits, 4))
+    vectors = st.integers(1, (1 << width) - 1)
+    low = (1 << arg_bits) - 1
+
+    def span(vectors):
+        bits = akrule._span_bits(akrule._rref(vectors))
+        return [v for v in range(1 << width) if bits >> v & 1]
+
+    swap = draw(st.sampled_from(["", "table", "answer", "outcome"]))
+    shifts = span(draw(st.lists(vectors, min_size=1, max_size=width)))
+    # an answer swap breaks only the answer partition when outcomes are single
+    # settings; an outcome swap needs answers holding several outcomes
+    outcome_group = span(draw(st.lists(st.sampled_from(shifts), max_size=0 if swap == "answer" else 1)))
+    # shifts with p(t) = 0 repeat a table, so they join the answer group
+    answer_group = span(
+        outcome_group
+        + [t for t in shifts if not t & low]
+        + draw(st.lists(vectors, min_size=swap == "outcome", max_size=1))
+    )
+    reps = {min(v ^ t for t in shifts) for v in range(1 << width)}
+    chosen = draw(st.lists(st.sampled_from(sorted(reps)), min_size=1, max_size=len(reps), unique=True))
+    entry = (1 << out_bits) - 1
+
+    def coset(v, group):
+        return min(v ^ u for u in group)
+
+    settings_ = []
+    for r in chosen:
+        table = draw(st.lists(st.integers(0, entry), min_size=1 << arg_bits, max_size=1 << arg_bits))
+        for t in shifts:
+            p = t & low
+            settings_.append(
+                ol.Setting(
+                    BitString(r ^ t, width),
+                    tuple(BitString(table[a ^ p], out_bits) for a in range(1 << arg_bits)),
+                    f"s{coset(r ^ t, answer_group)}",
+                    BitString(coset(r ^ t, outcome_group), width),
+                )
+            )
+    if swap:
+        i = draw(st.integers(0, len(settings_) - 1))
+        x = settings_[i]
+        differ = {
+            "table": lambda y: y.table != x.table,
+            "answer": lambda y: y.solution != x.solution,
+            "outcome": lambda y: y.solution == x.solution and y.a_outcome != x.a_outcome,
+        }[swap]
+        others = [j for j, y in enumerate(settings_) if differ(y)]
+        if others:
+            j = draw(st.sampled_from(others))
+            y = settings_[j]
+            if swap == "table":
+                settings_[i], settings_[j] = replace(x, table=y.table), replace(y, table=x.table)
+            elif swap == "answer":
+                settings_[i] = replace(x, solution=y.solution, a_outcome=y.a_outcome)
+                settings_[j] = replace(y, solution=x.solution, a_outcome=x.a_outcome)
+            else:
+                settings_[i], settings_[j] = replace(x, a_outcome=y.a_outcome), replace(y, a_outcome=x.a_outcome)
+        shifts = []
+    # equal tables must share an answer, or every prediction raises
+    answers = {}
+    assume(all(answers.setdefault(s.table, s.solution) == s.solution for s in settings_))
+    return ol.OracleProblem("covariant", arg_bits, out_bits, tuple(settings_), "cells"), shifts
+
+
+@pytest.mark.parametrize("family,complementary", MODES)
+@settings(deadline=None)
+@given(case=covariant_problems())
+def test_orbit_reduced_predict_matches_unreduced_with_planted_symmetry(case, family, complementary):
+    problem, shifts = case
+    found = akrule._translations(akrule._core(problem, family), akrule._solver(problem))
+    assert set(shifts) <= set(found)
+    assert_reduction_exact(problem, family, complementary)
