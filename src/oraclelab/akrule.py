@@ -320,10 +320,11 @@ def _entropy(counts: Iterable[int]) -> float:
 class _Core:
     """Every readout of one family as a partition of the setting positions.
 
-    ``blocks[s][i]`` is the bitmask of the settings that share setting i's
-    readout under spec s.  A spec's partition is its parent's (the spec
-    without its last cell or mask) refined by an atom, the partition of that
-    one cell or mask; the families differ only in their atoms.
+    Spec s is a sorted key: its cells, or its masks' reduced echelon basis.
+    It is stored as a recipe: its parent (the key less its last entry, which
+    comes earlier since keys ascend by length) and the atom of that entry,
+    the partition one cell or mask makes; the families differ only in their
+    atoms.  ``column(i)`` forms every block at position i when a call scans it.
     """
 
     def __init__(self, problem: OracleProblem, family: str):
@@ -339,7 +340,6 @@ class _Core:
                     f"entries, this problem has {positions}"
                 )
             keys = [c for size in range(positions + 1) for c in itertools.combinations(range(positions), size)]
-            self.specs = tuple(cells_spec(c) for c in keys)
 
             def atom(q: int) -> tuple[int, ...]:
                 return _partition(st.table[q].value for st in problem.settings)
@@ -351,11 +351,7 @@ class _Core:
                     f"linear enumeration supports setting widths up to {MAX_LINEAR_WIDTH}, "
                     f"this problem has {self.width} bits per setting"
                 )
-            keys = list(_all_subspaces(self.width))
-            self.specs = tuple(
-                MeasurementSpec("linear", masks=tuple(BitString(v, self.width) for v in basis))
-                for basis in keys
-            )
+            keys = _all_subspaces(self.width)
             self.spans = tuple(_span_bits(basis) for basis in keys)
 
             def atom(mask: int) -> tuple[int, ...]:
@@ -363,27 +359,36 @@ class _Core:
 
         else:
             raise ValueError(f"unknown measurement family {family!r}")
+        self.keys = tuple(keys)
         index = {key: s for s, key in enumerate(keys)}
-        atoms: dict[int, tuple[int, ...]] = {}
-        blocks: list[tuple[int, ...]] = []
-        for key in keys:
-            if not key:
-                blocks.append(((1 << len(self.ids)) - 1,) * len(self.ids))
-                continue
-            if key[-1] not in atoms:
-                atoms[key[-1]] = atom(key[-1])
-            blocks.append(_partition(p & a for p, a in zip(blocks[index[key[:-1]]], atoms[key[-1]])))
-        self.blocks = tuple(blocks)
-        self.dims = tuple(len(key) for key in keys)
-        if family == "cells":
-            everything = frozenset(range(positions))
-            self.complement = tuple(index[tuple(sorted(everything - set(key)))] for key in keys)
+        where = {x: a for a, x in enumerate(sorted({key[-1] for key in keys[1:]}))}
+        self.atoms = tuple(atom(x) for x in where)
+        self.recipe = tuple((index[key[:-1]], where[key[-1]]) for key in keys[1:])
         self.outcome = _partition(st.a_outcome.value for st in problem.settings)
         self.solution = _partition(st.solution for st in problem.settings)
         self.full_entropy = _entropy(self._counts((1 << len(self.ids)) - 1))
+        self._columns: dict[int, tuple[int, ...]] = {}
+        self._specs: dict[int, MeasurementSpec] = {}
         self._facts: dict[int, tuple[bool, int]] = {}
         self._key_of_counts: dict[tuple[int, ...], int] = {}
         self._key_ids: dict[tuple, int] = {}
+
+    def column(self, i: int) -> tuple[int, ...]:
+        """Entry s: spec s's block at position i, its parent's cut by its atom's; built once."""
+        if i not in self._columns:
+            blocks, atoms = [(1 << len(self.ids)) - 1], [a[i] for a in self.atoms]
+            for parent, a in self.recipe:
+                blocks.append(blocks[parent] & atoms[a])
+            self._columns[i] = tuple(blocks)
+        return self._columns[i]
+
+    def spec(self, s: int) -> MeasurementSpec:
+        """Spec s as the public API sees it, made on first use."""
+        if s not in self._specs:
+            key = self.keys[s]
+            self._specs[s] = (cells_spec(key) if self.family == "cells"
+                              else MeasurementSpec("linear", masks=tuple(BitString(v, self.width) for v in key)))
+        return self._specs[s]
 
     def position_of(self, b: BitString) -> int:
         self.problem.setting(b)
@@ -429,33 +434,33 @@ class _Core:
         The relation is symmetric, so t partners s exactly when s partners t.
         """
         bit = 1 << i
-        blocks, facts = self.blocks, self.facts
+        column, facts = self.column(i), self.facts
         direct_sum = complementary and self.family == "linear"
         if complementary and self.family == "cells":
-            complement = self.complement
-
+            # cells keys of one size ascend lexicographically and complementing
+            # reverses that order, so spec s's complement is spec len - 1 - s
             def candidates(s: int, key: int) -> Iterable[int]:
-                return (complement[s],)
+                return (len(self.keys) - 1 - s,)
 
         else:
             # bucket by (dimension, key); the partner of a direct sum has the
             # complementary dimension, any other partner may have any
             buckets: dict[tuple[int, int], list[int]] = {}
-            for t, row in enumerate(blocks):
-                undetermined, key = facts(row[i])
+            for t, block in enumerate(column):
+                undetermined, key = facts(block)
                 if undetermined:
-                    buckets.setdefault((self.dims[t] if direct_sum else 0, key), []).append(t)
+                    buckets.setdefault((len(self.keys[t]) if direct_sum else 0, key), []).append(t)
 
             def candidates(s: int, key: int) -> Iterable[int]:
-                return buckets.get((self.width - self.dims[s] if direct_sum else 0, key), ())
+                return buckets.get((self.width - len(self.keys[s]) if direct_sum else 0, key), ())
 
         def partners(s: int) -> Iterator[int]:
-            mine = blocks[s][i]
+            mine = column[s]
             undetermined, key = facts(mine)
             if not undetermined:
                 return
             for t in candidates(s, key):
-                if blocks[t][i] & mine != bit or t == s or facts(blocks[t][i]) != (True, key):
+                if column[t] & mine != bit or t == s or facts(column[t]) != (True, key):
                     continue
                 if direct_sum and self.spans[s] & self.spans[t] != 1:
                     continue
@@ -470,7 +475,7 @@ class _Core:
         cells come first; every other pair at (lower index, higher index).
         """
         if complementary and self.family == "cells":
-            return (min((sorted(self.specs[u].cells), u) for u in (s, t))[1],)
+            return (min(s, t, key=self.keys.__getitem__),)
         return min(s, t), max(s, t)
 
 
@@ -494,24 +499,17 @@ def realized_subset(problem: OracleProblem, spec: MeasurementSpec, b_star: BitSt
     Cells: every setting whose table agrees with the true one on the chosen
     positions.  Linear: every setting with the same parities under all masks.
     """
-    problem.setting(b_star)
+    st0 = problem.setting(b_star)
     if spec.family == "cells":
         if any(q >= (1 << problem.arg_bits) for q in spec.cells):
             raise ValueError("cell position out of range for this problem")
-        st0 = problem.setting(b_star)
-        reference = tuple(st0.table[q].value for q in sorted(spec.cells))
-        return frozenset(
-            st.id
-            for st in problem.settings
-            if tuple(st.table[q].value for q in sorted(spec.cells)) == reference
-        )
+        cells = sorted(spec.cells)
+        reference = [st0.table[q].value for q in cells]
+        return frozenset(st.id for st in problem.settings if [st.table[q].value for q in cells] == reference)
     if any(m.width != problem.setting_width for m in spec.masks):
         raise ValueError("mask width does not match the setting width")
-    return frozenset(
-        st.id
-        for st in problem.settings
-        if all(_dot(m.value, st.id.value) == _dot(m.value, b_star.value) for m in spec.masks)
-    )
+    reference = [_dot(m.value, b_star.value) for m in spec.masks]
+    return frozenset(st.id for st in problem.settings if [_dot(m.value, st.id.value) for m in spec.masks] == reference)
 
 
 def _outcome_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
@@ -563,20 +561,20 @@ def enumerate_occam_pairs(
     """
     config, core = _resolve(problem, config)
     i = core.position_of(b_star)
-    partners = core.partners(i, config.complementary)
+    partners, column = core.partners(i, config.complementary), core.column(i)
     first: dict[tuple[int, int], tuple] = {}
-    for s in range(len(core.specs)):
+    for s in range(len(column)):
         for t in partners(s):
             if t < s:
                 continue
-            a, b = sorted((s, t), key=lambda u: _members(core.blocks[u][i]))
-            key = (core.blocks[a][i], core.blocks[b][i])
+            a, b = sorted((s, t), key=lambda u: _members(column[u]))
+            key = (column[a], column[b])
             rank = core.rank(s, t, config.complementary)
             if key not in first or rank < first[key][0]:
                 first[key] = (rank, a, b)
     ordered = sorted(first.items(), key=lambda item: (_members(item[0][0]), _members(item[0][1])))
     return tuple(
-        OccamPair(core.specs[a], core.subset(m_a), core.specs[b], core.subset(m_b), core.epsilon(m_a))
+        OccamPair(core.spec(a), core.subset(m_a), core.spec(b), core.subset(m_b), core.epsilon(m_a))
         for (m_a, m_b), (_, a, b) in ordered
     )
 
@@ -599,9 +597,9 @@ def _instances(core: _Core, i: int, complementary: bool) -> dict[int, int]:
     """
     partners = core.partners(i, complementary)
     found: dict[int, int] = {}
-    for s, row in enumerate(core.blocks):
-        if row[i] not in found and next(partners(s), None) is not None:
-            found[row[i]] = s
+    for s, mask in enumerate(core.column(i)):
+        if mask not in found and next(partners(s), None) is not None:
+            found[mask] = s
     return found
 
 
@@ -617,7 +615,7 @@ def setting_instances(
     i = core.position_of(b_star)
     found = _instances(core, i, config.complementary)
     return tuple(
-        AkInstance(core.subset(mask), core.specs[found[mask]], core.epsilon(mask))
+        AkInstance(core.subset(mask), core.spec(found[mask]), core.epsilon(mask))
         for mask in sorted(found, key=_members)
     )
 

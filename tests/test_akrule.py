@@ -476,3 +476,42 @@ class TestFamilyGuards:
         problem = ol.build_grover(8)  # builds fine, analysis is the capped part
         with pytest.raises(ValueError, match="width"):
             akrule.predict_queries(problem)
+
+
+def fresh_core(problem, family):
+    """The core a call on the problem will use, built anew with no column formed."""
+    akrule._core.cache_clear()
+    akrule._solver.cache_clear()
+    core = akrule._core(problem, family)
+    assert not core._columns
+    return core
+
+
+class TestColumnsOnDemand:
+    """Work counts of the partition core, not timings: the columns a call forms."""
+
+    @pytest.mark.parametrize("selector,family", [("grover:n=4", "cells"), ("grover:n=6", "linear")])
+    def test_symmetric_predict_forms_one_column(self, selector, family):
+        problem = ol.parse_selector(selector)
+        core = fresh_core(problem, family)
+        akrule.predict_queries(problem, AkConfig(family=family))
+        assert list(core._columns) == [0]
+
+    def test_predict_without_symmetry_forms_every_column(self):
+        problem = ol.load_problem((Path(__file__).parent / "golden" / "random_seed1.json").read_text())
+        core = fresh_core(problem, problem.default_family)
+        akrule.predict_queries(problem)
+        assert sorted(core._columns) == list(range(32))
+
+    def test_pairs_form_the_column_of_their_setting(self, simon2):
+        core = fresh_core(simon2, "cells")
+        akrule.enumerate_occam_pairs(simon2, simon2.setting_ids()[3])
+        assert list(core._columns) == [3]
+
+    @pytest.mark.parametrize("arg_bits", [1, 2, 3, 4])
+    def test_cells_complement_is_the_reversed_spec(self, arg_bits):
+        # the complementary cells partner of spec s is looked up as spec len - 1 - s
+        core = akrule._Core(ol.build_grover(arg_bits), "cells")
+        everything = frozenset(range(1 << arg_bits))
+        for s, key in enumerate(core.keys):
+            assert frozenset(core.keys[-1 - s]) == everything - frozenset(key)

@@ -5,7 +5,9 @@ with ``realized_subset`` and ``delta_entropy``.  ``enumerate_occam_pairs`` and
 ``setting_instances`` must give the same subsets and specs, in the same
 order, on the built-in n<=2 problems and on generated valid problems: equal
 outcome blocks, a consistent outcome-to-solution map, at most 8 table cells
-and at most 4 setting bits.  ``decision_tree_cost`` must equal the memo-free
+and at most 4 setting bits.  Every block the core forms in ``column(i)``
+must be the ``realized_subset`` of its spec at setting i, on built-ins and
+generated problems.  ``decision_tree_cost`` must equal the memo-free
 ``plain_minimax_cost`` on generated problems, and raise exactly where it
 raises, on sets holding two settings with equal tables and different answers;
 on sets of up to 24 settings, too large for the plain recursion, it must
@@ -117,6 +119,35 @@ def test_generated_problems_entropy_routes_agree(case):
     }
     for subset in subsets:
         assert abs(akrule.delta_entropy(problem, subset) - akrule.delta_entropy_via_states(problem, subset)) <= ATOL
+
+
+def assert_columns_match(problem, family, positions=None):
+    """Spec s's block in column i is the realized subset of spec s at setting i."""
+    core = akrule._Core(problem, family)
+    assert [core.spec(s) for s in range(len(core.keys))] == reference_specs(problem, family)
+    for i in range(len(core.ids)) if positions is None else positions:
+        column = core.column(i)
+        assert len(column) == len(core.keys)
+        for s, mask in enumerate(column):
+            assert core.subset(mask) == akrule.realized_subset(problem, core.spec(s), core.ids[i]), (i, s)
+
+
+@pytest.mark.parametrize(
+    "selector,family,positions",
+    [(selector, family, None) for selector in ("grover:n=2", "dj:n=1", "dj:n=2", "simon:n=2")
+     for family in ("cells", "linear")]
+    + [("simon:n=3", "cells", range(0, 168, 8)), ("grover:n=4", "linear", None), ("grover:n=4", "cells", (0, 9))],
+)
+def test_columns_match_realized_subsets_on_builtins(selector, family, positions):
+    assert_columns_match(ol.parse_selector(selector), family, positions)
+
+
+@pytest.mark.parametrize("family", ["cells", "linear"])
+@settings(deadline=None)
+@given(case=generated_problems())
+def test_columns_match_realized_subsets_on_generated_problems(case, family):
+    problem, _ = case
+    assert_columns_match(problem, family)
 
 
 @st.composite
@@ -291,8 +322,7 @@ REDUCTION_CASES = [
 @functools.lru_cache(maxsize=None)
 def builtin(selector):
     # one object per selector, and no equal problem left in the package's
-    # caches by an earlier test: a lookup then matches by identity, where an
-    # equal but distinct problem is compared table by table on every call
+    # caches by an earlier test, so a lookup matches by identity
     akrule._core.cache_clear()
     akrule._solver.cache_clear()
     return ol.parse_selector(selector)

@@ -3,7 +3,8 @@
 The files under ``golden/`` hold ``simulate --stages --format json`` and
 ``histories --format json`` for one setting of each built-in circuit, and
 ``ak --format json`` and ``predict --format json`` for the built-in problems,
-their family and complementarity variants at n=2, and one random file
+their family and complementarity variants at n=2, ``predict --family cells``
+on ``grover:n=4`` (the benchmark's cells workload), and one random file
 problem (``golden/random_seed1.json``, the first document of the benchmark's
 seed-1 session).  Circuit outputs must carry the same keys, stage labels,
 basis labels and paths, with numbers within 1e-12, since amplitudes are
@@ -32,6 +33,7 @@ AK_CASES = (
 PREDICT_CASES = (
     [(selector, ()) for selector in ("grover:n=2", "grover:n=4", "dj:n=1", "dj:n=2", "simon:n=2", "simon:n=3")]
     + [(selector, flags) for selector, _ in N2_CASES for flags in VARIANTS]
+    + [("grover:n=4", ("--family", "cells"))]
     + [(RANDOM, ()), (RANDOM, ("--family", "cells"))]
 )
 

@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -331,6 +332,15 @@ class TestProblemHash:
         # settings given in another order are sorted before the hash is taken
         shuffled = ol.OracleProblem("simon", 2, 1, simon2.settings[::-1], "cells")
         assert shuffled == simon2 and hash(shuffled) == hash(simon2)
+
+    def test_equality_compares_the_tables_and_the_name(self):
+        problem, again = ol.build_grover(6), ol.build_grover(6)
+        assert problem == again and hash(problem) == hash(again)
+        st = problem.settings[5]
+        flipped = st.table[:40] + (BitString(1 - st.table[40].value, 1),) + st.table[41:]
+        settings = problem.settings[:5] + (replace(st, table=flipped),) + problem.settings[6:]
+        assert replace(problem, settings=settings) != problem
+        assert replace(problem, name="other") != problem
 
 
 class TestSelectors:
