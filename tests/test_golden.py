@@ -33,8 +33,8 @@ AK_CASES = (
 PREDICT_CASES = (
     [(selector, ()) for selector in ("grover:n=2", "grover:n=4", "dj:n=1", "dj:n=2", "simon:n=2", "simon:n=3")]
     + [(selector, flags) for selector, _ in N2_CASES for flags in VARIANTS]
-    + [("grover:n=4", ("--family", "cells"))]
     + [(RANDOM, ()), (RANDOM, ("--family", "cells"))]
+    + [("grover:n=4", ("--family", "cells"))]
 )
 
 
