@@ -562,19 +562,21 @@ def enumerate_occam_pairs(
     config, core = _resolve(problem, config)
     i = core.position_of(b_star)
     partners, column = core.partners(i, config.complementary), core.column(i)
+    members = functools.cache(_members)  # each block's sort key, computed once per call
     first: dict[tuple[int, int], tuple] = {}
     for s in range(len(column)):
         for t in partners(s):
             if t < s:
                 continue
-            a, b = sorted((s, t), key=lambda u: _members(column[u]))
+            a, b = sorted((s, t), key=lambda u: members(column[u]))
             key = (column[a], column[b])
             rank = core.rank(s, t, config.complementary)
             if key not in first or rank < first[key][0]:
                 first[key] = (rank, a, b)
-    ordered = sorted(first.items(), key=lambda item: (_members(item[0][0]), _members(item[0][1])))
+    ordered = sorted(first.items(), key=lambda item: (members(item[0][0]), members(item[0][1])))
+    subset = functools.cache(core.subset)
     return tuple(
-        OccamPair(core.spec(a), core.subset(m_a), core.spec(b), core.subset(m_b), core.epsilon(m_a))
+        OccamPair(core.spec(a), subset(m_a), core.spec(b), subset(m_b), core.epsilon(m_a))
         for (m_a, m_b), (_, a, b) in ordered
     )
 

@@ -75,7 +75,13 @@ class Stage:
         dim = view.shape[axis]
         if self.kind in ("hadamard", "inversion_about_mean", "custom"):
             # the block multiplies the register axis, the axes after it merged into one
-            out = np.matmul(self._block(dim), view.reshape(view.shape[: axis + 1] + (-1,)))
+            block, merged = self._block(dim), view.reshape(view.shape[: axis + 1] + (-1,))
+            if block.dtype.kind == "f" and merged.dtype.kind == "c":
+                # a real block acts on real and imaginary parts alike: one real product
+                # over the interleaved float64 view instead of a real-by-complex one
+                out = np.matmul(block, np.ascontiguousarray(merged).view(np.float64)).view(np.complex128)
+            else:
+                out = np.matmul(block, merged)
         elif self.kind == "permutation":
             if len(self.mapping) != dim:
                 raise ValueError(f"permutation {self.label!r} has {len(self.mapping)} values, register {dim}")

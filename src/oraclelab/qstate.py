@@ -13,8 +13,11 @@ Comparisons use an absolute tolerance of ``ATOL`` unless stated otherwise.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -25,7 +28,7 @@ EIG_FLOOR = 1e-12
 MAX_TOTAL_WIDTH = 24
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BitString:
     """An unsigned value with an explicit bit width.
 
@@ -67,6 +70,22 @@ class BitString:
 
     def __str__(self) -> str:
         return self.text
+
+
+_set_value = BitString.__dict__["value"].__set__
+_set_width = BitString.__dict__["width"].__set__
+
+
+def _unchecked_bits(values: list[int], width: int) -> list[BitString]:
+    """BitStrings of one width built without ``__post_init__``, for values already range-checked.
+
+    The slots are filled by C-level ``map`` calls, with no Python frame per object; the
+    setters return None, so ``any`` runs each map to its end.
+    """
+    bits = list(map(object.__new__, itertools.repeat(BitString, len(values))))
+    any(map(_set_value, bits, values))
+    any(map(_set_width, bits, itertools.repeat(width)))
+    return bits
 
 
 @dataclass(frozen=True)
@@ -292,34 +311,53 @@ class BranchEnsemble:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """A probability distribution over distinct basis outcomes."""
+    """A probability distribution over distinct basis outcomes, in ascending value order."""
 
     entries: tuple[tuple[BitString, float], ...]
 
     def __post_init__(self) -> None:
         entries = tuple(sorted(self.entries, key=lambda e: e[0].value))
-        values = [o.value for o, _ in entries]
-        if len(set(values)) != len(values):
-            raise ValueError("outcomes must be distinct")
-        total = 0.0
-        for outcome, p in entries:
-            if p < -ATOL or p > 1.0 + ATOL:
-                raise ValueError(f"probability {p!r} for outcome {outcome} is out of range")
-            total += p
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        _check_distribution([o.value for o, _ in entries], [o.width for o, _ in entries], [p for _, p in entries])
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _from_arrays(cls, values: np.ndarray, probs: np.ndarray, width: int) -> "OutcomeDistribution":
+        """The distribution of ascending outcome values of one width, checked once."""
+        values, probs = values.tolist(), probs.tolist()
+        _check_distribution(values, [width] * len(values), probs)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "entries", tuple(zip(_unchecked_bits(values, width), probs)))
+        return dist
 
     def probability(self, outcome: "BitString | str") -> float:
         if isinstance(outcome, str):
             outcome = BitString.from_text(outcome)
-        for o, p in self.entries:
-            if o == outcome:
-                return p
+        i = bisect.bisect_left(self.entries, outcome.value, key=lambda e: e[0].value)
+        if i < len(self.entries) and self.entries[i][0] == outcome:
+            return self.entries[i][1]
         return 0.0
 
     def as_dict(self) -> dict[str, float]:
         return {o.text: p for o, p in self.entries}
+
+
+def _check_distribution(values: list[int], widths: list[int], probs: list[float]) -> None:
+    """The one check of every :class:`OutcomeDistribution`: ascending values distinct and fitting
+    their widths, each p in [-ATOL, 1 + ATOL], the sum 1 within ATOL.  C-level reductions over
+    plain lists keep it cheap for tiny distributions and large ones alike."""
+    if any(map(operator.ge, values, values[1:])):
+        raise ValueError("outcomes must be distinct")
+    # v >> w is nonzero exactly when v is negative or needs more than w bits
+    if any(map(operator.rshift, values, widths)):
+        for v, w in zip(values, widths):
+            BitString(v, w)  # raises with the constructor's message
+    if probs and (min(probs) < -ATOL or max(probs) > 1.0 + ATOL):
+        for v, w, p in zip(values, widths, probs):
+            if not -ATOL <= p <= 1.0 + ATOL:
+                raise ValueError(f"probability {p!r} for outcome {format(v, f'0{w}b')} is out of range")
+    total = sum(probs, 0.0)
+    if not abs(total - 1.0) <= ATOL:  # also rejects a NaN anywhere
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 
 def _tensor(ensemble: BranchEnsemble) -> np.ndarray:
@@ -404,7 +442,7 @@ def measure_register(ensemble: BranchEnsemble, *registers: str) -> OutcomeDistri
     probs = np.abs(_tensor(ensemble)) ** 2
     probs *= _along([br.weight for br in ensemble.branches], 0, probs.ndim)
     # sum over the unmeasured axes; the branch axis stands for the setting register
-    kept = {0 if n == layout.setting_register else 1 + layout.axis(n) for n in registers}
+    kept = list(dict.fromkeys(0 if n == layout.setting_register else 1 + layout.axis(n) for n in registers))
     probs = probs.sum(axis=tuple(i for i in range(probs.ndim) if i not in kept), keepdims=True)
     # every remaining cell has its own outcome value, built register by register
     values = np.zeros(probs.shape, dtype=np.int64)
@@ -417,10 +455,13 @@ def measure_register(ensemble: BranchEnsemble, *registers: str) -> OutcomeDistri
             part = _along(np.arange(1 << width), 1 + layout.axis(name), probs.ndim)
         values = (values << width) | part
         total_width += width
+    # with the kept axes in measured order, C order is ascending value order: branches
+    # ascend by setting value and every other axis by its register value
+    if kept != sorted(kept):
+        order = kept + [i for i in range(probs.ndim) if i not in kept]
+        probs, values = probs.transpose(order), values.transpose(order)
     nonzero = probs > 1e-15
-    return OutcomeDistribution(tuple(
-        (BitString(v, total_width), p) for v, p in zip(values[nonzero].tolist(), probs[nonzero].tolist())
-    ))
+    return OutcomeDistribution._from_arrays(values[nonzero], probs[nonzero], total_width)
 
 
 def _along(values, axis: int, ndim: int) -> np.ndarray:
@@ -429,13 +470,13 @@ def _along(values, axis: int, ndim: int) -> np.ndarray:
 
 
 def _reduced_density(ensemble: BranchEnsemble, register: str) -> np.ndarray:
-    shape = ensemble.layout.state_shape
-    axis = ensemble.layout.axis(register)
-    rho = np.zeros((shape[axis], shape[axis]), dtype=np.complex128)
-    for br in ensemble.branches:
-        kept = np.moveaxis(br.state.amplitudes.reshape(shape), axis, 0).reshape(shape[axis], -1)
-        rho += br.weight * (kept @ kept.conj().T)
-    return rho
+    """rho = K K^H in one product, K the sqrt(weight)-scaled branch states with the register
+    axis first and the rest flattened; weights within ATOL below zero count as zero."""
+    tensor = _tensor(ensemble)
+    weights = np.sqrt(np.maximum([br.weight for br in ensemble.branches], 0.0))
+    kept = np.moveaxis(tensor * _along(weights, 0, tensor.ndim), 1 + ensemble.layout.axis(register), 0)
+    kept = kept.reshape(len(kept), -1)
+    return kept @ kept.conj().T
 
 
 def reduced_entropy(ensemble: BranchEnsemble, register: str) -> float:

@@ -105,6 +105,20 @@ class TestGroverCircuit:
             assert abs(ol.reduced_entropy(ensemble, "B") - 2.0) <= ATOL
 
 
+def test_one_search_iteration_at_width_four():
+    """One H, oracle, inversion round over all 16 settings of B4/A4/V1 succeeds with sin^2(3 asin 2^-2)."""
+    problem = ol.build_grover(4)
+    layout = ol.RegisterLayout((("B", 4), ("A", 4), ("V", 1)), "B")
+    stages = (circuits.hadamard("A"), circuits.oracle_xor(problem), circuits.inversion_about_mean("A"))
+    circuit = circuits.make_circuit("search-n4", layout, problem, stages)
+    final = ol.run(circuit, ol.initial_ensemble(circuit)).final
+    dist = ol.measure_register(final, "B", "A")
+    success = sum(p for outcome, p in dist.entries if outcome.value >> 4 == outcome.value & 15)
+    assert abs(success - np.sin(3 * np.arcsin(2.0**-2)) ** 2) <= 1e-9
+    assert abs(sum(p for _, p in dist.entries) - 1.0) <= 1e-12
+    assert 0.0 <= ol.reduced_entropy(final, "A") <= 4.0 + 1e-9
+
+
 class TestDjCircuit:
     @pytest.mark.parametrize(
         "setting,outcome",

@@ -5,13 +5,15 @@ and the oracle's argument register before or after its target, so that an
 axis-order mistake in the kernel shows up as a mismatch.
 """
 
+import dataclasses
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import oraclelab as ol
-from oraclelab import circuits
+from oraclelab import circuits, qstate
 from oraclelab.oracle import OracleProblem, Setting
 from oraclelab.qstate import ATOL, BitString, Branch, BranchEnsemble, PureState, RegisterLayout
 
@@ -151,24 +153,43 @@ def test_composed_unitary_matches_reference(case):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_readouts_match_reference(case):
-    ensemble = random_ensemble(case, 3)
+def test_block_stages_on_strided_and_real_rows(case):
+    """Hadamard, mean inversion and custom blocks on non-contiguous complex rows and on real identity rows."""
+    rng = np.random.default_rng(11)
+    dim = case.layout.state_dim
+    wide = rng.normal(size=(3, 2 * dim)) + 1j * rng.normal(size=(3, 2 * dim))
+    for rows in (wide[:, ::2], np.asfortranarray(wide[:, :dim]), wide[:, dim:].real):
+        assert not rows.flags.c_contiguous
+        for stage in case.stages:
+            if stage.kind not in ("hadamard", "inversion_about_mean", "custom"):
+                continue
+            matrix = reference(case, stage, case.settings[0])
+            out = stage.act(case.layout, rows)
+            assert np.allclose(out, rows @ matrix.T, atol=ATOL), stage.label
+            identity = stage.act(case.layout, np.eye(dim))
+            assert np.allclose(identity.T, matrix, atol=ATOL), stage.label
+
+
+def check_readouts(case, ensemble, orders):
+    """Outcome distributions, the joint density and every reduced entropy against the references."""
     registers = case.layout.registers
     setting = case.layout.setting_register
     branches = [(br.setting.value, br.weight, br.state.amplitudes) for br in ensemble.branches]
-    names = list(case.layout.names)
-    for measured in [[name] for name in names] + [names[::-1], names[1:] + names[:1]]:
-        got = ol.measure_register(ensemble, *measured).as_dict()
+    for measured in orders:
+        dist = ol.measure_register(ensemble, *measured)
+        got = dist.as_dict()
         expected = reference_outcomes(registers, setting, branches, measured)
         assert got.keys() == expected.keys(), measured
         assert all(abs(got[k] - expected[k]) <= ATOL for k in got), measured
+        values = [o.value for o, _ in dist.entries]
+        assert values == sorted(set(values)), measured
     rho = 0
     for br in ensemble.branches:
         joint = reference_joint_vector(registers, setting, br.setting.value, br.state.amplitudes)
         rho = rho + br.weight * np.outer(joint, joint.conj())
     assert np.allclose(ol.density_matrix(ensemble), rho, atol=ATOL)
     dims = [1 << w for _, w in registers]
-    for position, name in enumerate(names):
+    for position, name in enumerate(case.layout.names):
         # partial trace of the joint density over every other register
         moved = np.moveaxis(rho.reshape(dims + dims), [position, len(dims) + position], [0, 1])
         rest = rho.shape[0] // dims[position]
@@ -176,6 +197,129 @@ def test_readouts_match_reference(case):
         eig = np.linalg.eigvalsh(reduced)
         eig = eig[eig > 1e-12]
         assert abs(ol.reduced_entropy(ensemble, name) - float(-(eig * np.log2(eig)).sum())) <= 1e-8, name
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_readouts_match_reference(case):
+    names = list(case.layout.names)
+    orders = [[name] for name in names] + [names[::-1], names[1:] + names[:1]]
+    check_readouts(case, random_ensemble(case, 3), orders)
+
+
+def sparse_weighted_ensemble(case, seed):
+    """Random non-uniform weights, one of them exactly zero, and about half the amplitudes exactly zero."""
+    rng = np.random.default_rng(seed)
+    dim = case.layout.state_dim
+    weights = rng.dirichlet(np.ones(len(case.settings)))
+    if len(weights) > 1:
+        weights[0] = 0.0
+        weights /= weights.sum()
+    branches = []
+    for b, weight in zip(case.settings, weights):
+        vec = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * (rng.random(dim) < 0.5)
+        vec[rng.integers(dim)] = 1.0
+        branches.append(Branch(b, float(weight), PureState(case.layout.state_only(), vec / np.linalg.norm(vec))))
+    return BranchEnsemble(case.layout, tuple(branches))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_readouts_match_reference_with_weights_and_zero_cells(case):
+    ensemble = sparse_weighted_ensemble(case, 5)
+    names = list(case.layout.names)
+    setting = case.layout.setting_register
+    others = [name for name in names if name != setting][::-1]
+    middle = others[: len(others) // 2] + [setting] + others[len(others) // 2 :]
+    orders = [[name] for name in names] + [names[::-1], middle, names]
+    check_readouts(case, ensemble, orders)
+    # the zero cells are dropped, not kept with probability 0
+    full = ol.measure_register(ensemble, *names)
+    assert len(full.entries) < len(case.settings) * case.layout.state_dim
+    assert all(p > 1e-15 for _, p in full.entries)
+
+
+class TestOutcomeDistribution:
+    ENTRIES = ((BitString(3, 2), 0.5), (BitString(0, 2), 0.25), (BitString(2, 2), 0.25))
+
+    def test_input_order_is_normalized(self):
+        dist = ol.OutcomeDistribution(self.ENTRIES)
+        assert [o.value for o, _ in dist.entries] == [0, 2, 3]
+        assert dist == ol.OutcomeDistribution(self.ENTRIES[::-1])
+
+    def test_probability_lookup(self):
+        dist = ol.OutcomeDistribution(self.ENTRIES)
+        assert dist.probability("11") == 0.5 and dist.probability(BitString(0, 2)) == 0.25
+        assert dist.probability("01") == 0.0
+        assert dist.probability("011") == 0.0  # same value, other width
+        assert ol.OutcomeDistribution(((BitString(1, 1), 1.0),)).probability("0") == 0.0
+
+    @pytest.mark.parametrize("p", [-0.25, 1.25, float("nan")])
+    def test_out_of_range_probability_raises(self, p):
+        entries = ((BitString(0, 2), p), (BitString(1, 2), 1.0 - p))
+        with pytest.raises(ValueError, match="out of range|sum"):
+            ol.OutcomeDistribution(entries)
+
+    def test_out_of_range_probability_message(self):
+        entries = ((BitString(1, 3), 1.5), (BitString(0, 3), -0.5))
+        with pytest.raises(ValueError, match=r"probability -0.5 for outcome 000 is out of range"):
+            ol.OutcomeDistribution(entries)
+
+    def test_duplicates_and_sum_raise(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ol.OutcomeDistribution(((BitString(1, 2), 0.5), (BitString(1, 2), 0.5)))
+        with pytest.raises(ValueError, match="sum"):
+            ol.OutcomeDistribution(((BitString(1, 2), 0.5),))
+        with pytest.raises(ValueError, match="sum"):
+            ol.OutcomeDistribution(())
+
+    @pytest.mark.parametrize(
+        "values, probs, width",
+        [
+            ([1, 1], [0.5, 0.5], 2),
+            ([0, 4], [0.5, 0.5], 2),
+            ([-1, 0], [0.5, 0.5], 2),
+            ([0, 1], [1.5, -0.5], 2),
+            ([0, 1], [0.5, 0.25], 2),
+        ],
+    )
+    def test_array_route_shares_the_checks_and_messages(self, values, probs, width):
+        """The measure_register route raises what a caller-built distribution raises."""
+        with pytest.raises(ValueError) as from_arrays:
+            ol.OutcomeDistribution._from_arrays(np.array(values), np.array(probs), width)
+        with pytest.raises(ValueError) as from_entries:
+            entries = tuple((BitString(v, width), p) for v, p in zip(values, probs))
+            ol.OutcomeDistribution(entries)
+        assert str(from_arrays.value) == str(from_entries.value)
+
+    def test_array_route_equals_the_constructor(self):
+        case = make_case(0, "middle", True)
+        dist = ol.measure_register(random_ensemble(case, 1), *case.layout.names[::-1])
+        assert ol.OutcomeDistribution(dist.entries[::-1]) == dist
+        assert ol.OutcomeDistribution(dist.entries).entries == dist.entries
+
+
+class TestBitStringFastPath:
+    def test_fast_and_checked_objects_behave_alike(self):
+        values = [5, 0, 3, 7]
+        fast = qstate._unchecked_bits(values, 3)
+        checked = [BitString(v, 3) for v in values]
+        assert fast == checked
+        assert [hash(b) for b in fast] == [hash(b) for b in checked]
+        assert sorted(fast) == sorted(checked) and [b.value for b in sorted(fast)] == [0, 3, 5, 7]
+        assert fast[0] < checked[3] and checked[1] < fast[2]
+        assert [repr(b) for b in fast] == [repr(b) for b in checked]
+        assert pickle.loads(pickle.dumps(fast)) == checked
+        assert {*fast} == {*checked}
+
+    def test_slots_and_frozen(self):
+        b = qstate._unchecked_bits([2], 2)[0]
+        assert not hasattr(b, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.value = 1
+
+    @pytest.mark.parametrize("value, width", [(4, 2), (-1, 3), (0, 0), (1 << 24, 24)])
+    def test_constructor_still_rejects_out_of_range(self, value, width):
+        with pytest.raises(ValueError):
+            BitString(value, width)
 
 
 class ForwardingStage:
