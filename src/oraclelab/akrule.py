@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .oracle import OracleProblem, build_grover, output_ensemble
-from .qstate import BitString, BranchEnsemble, project_setting_subset, reduced_entropy
+from .qstate import BitString, BranchEnsemble, _shannon, project_setting_subset, reduced_entropy
 
 MAX_LINEAR_WIDTH = 6
 MAX_CELLS_POSITIONS = 16
@@ -91,16 +91,6 @@ def cells_spec(positions: Iterable[int]) -> MeasurementSpec:
     if any(q < 0 for q in positions):
         raise ValueError("cell positions must be nonnegative")
     return MeasurementSpec("cells", cells=positions)
-
-
-def linear_spec(masks: Iterable[BitString]) -> MeasurementSpec:
-    """Canonicalize the masks to the reduced echelon basis of their span."""
-    masks = tuple(masks)
-    width = masks[0].width if masks else 0
-    if any(m.width != width for m in masks):
-        raise ValueError("all masks must share one width")
-    basis = _rref([m.value for m in masks])
-    return MeasurementSpec("linear", masks=tuple(BitString(v, width) for v in basis) if basis else ())
 
 
 @dataclass(frozen=True)
@@ -175,28 +165,6 @@ class QueryReport:
 
 # ---------------------------------------------------------------------------
 # GF(2) helpers (masks as ints, bit conventions following BitString)
-
-
-def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced echelon basis of the span, rows sorted by leading bit, descending."""
-    pivots: dict[int, int] = {}
-    for vector in vectors:
-        current = vector
-        while current:
-            lead = current.bit_length() - 1
-            if lead in pivots:
-                current ^= pivots[lead]
-            else:
-                pivots[lead] = current
-                break
-    rows = sorted(pivots.values(), key=lambda r: -(r.bit_length()))
-    for i in range(len(rows)):
-        for j in range(len(rows)):
-            if i != j:
-                lead = rows[j].bit_length() - 1
-                if (rows[i] >> lead) & 1:
-                    rows[i] ^= rows[j]
-    return tuple(sorted(rows, reverse=True))
 
 
 def _dot(mask: int, value: int) -> int:
@@ -303,14 +271,75 @@ def _entropy_key(counts: tuple[int, ...]) -> tuple[tuple[int, Fraction], ...]:
     return tuple((p, Fraction(e, total)) for p, e in sorted(exponents.items()) if e)
 
 
-def _entropy(counts: Iterable[int]) -> float:
-    counts = tuple(counts)
-    total = sum(counts)
-    entropy = 0.0
-    for c in counts:
-        p = c / total
-        entropy -= p * math.log2(p)
-    return entropy
+def _entropy(counts: tuple[int, ...]) -> float:
+    return _shannon(counts, sum(counts))
+
+
+# ---------------------------------------------------------------------------
+# The problem index: the setting positions and the partitions every view cuts
+
+
+class _Index:
+    """One problem's settings as bit positions, and the partitions read off its data.
+
+    Setting i is bit i of a mask.  ``outcome``, ``solution`` and ``tables``
+    are the partitions by Alice's outcome, the answer and the whole table,
+    each as ``_partition`` returns it.  ``cells[q]`` is argument q's partition
+    in that per-position form, the cells family's atom; ``arg_groups[q]``
+    holds the same blocks once each, for the walks over an argument's values.
+    """
+
+    def __init__(self, problem: OracleProblem):
+        self.problem = problem
+        self.ids = problem.setting_ids()
+        self.position = {b.value: i for i, b in enumerate(self.ids)}
+        self.full = (1 << len(self.ids)) - 1
+        settings = problem.settings
+        self.outcome = _partition(st.a_outcome.value for st in settings)
+        self.solution = _partition(st.solution for st in settings)
+        self.tables = _partition(tuple(e.value for e in st.table) for st in settings)
+        self.cells = tuple(_partition(st.table[q].value for st in settings) for q in range(1 << problem.arg_bits))
+        self.arg_groups = tuple(tuple(dict.fromkeys(blocks)) for blocks in self.cells)
+        self.full_entropy = _entropy(self.counts(self.full))
+
+    def mask_of(self, settings: Iterable[BitString]) -> int:
+        """The mask of a nonempty set of settings, each checked to be one of the problem's."""
+        mask = 0
+        for b in settings:
+            i = self.position.get(b.value)
+            if i is None or self.ids[i] != b:
+                raise ValueError(f"unknown setting {b} for problem {self.problem.name!r}")
+            mask |= 1 << i
+        if not mask:
+            raise ValueError("empty subset")
+        return mask
+
+    def subset(self, mask: int) -> frozenset[BitString]:
+        return frozenset(self.ids[i] for i in _members(mask))
+
+    def constant(self, mask: int) -> bool:
+        """Whether every setting in the nonempty mask has one answer."""
+        first = (mask & -mask).bit_length() - 1
+        return mask & ~self.solution[first] == 0
+
+    def counts(self, mask: int) -> tuple[int, ...]:
+        """Outcome-label counts inside the mask, ascending."""
+        counts = []
+        rest = mask
+        while rest:
+            part = mask & self.outcome[(rest & -rest).bit_length() - 1]
+            counts.append(part.bit_count())
+            rest ^= part
+        return tuple(sorted(counts))
+
+    def epsilon(self, mask: int) -> float:
+        """The entropy drop of knowing the setting lies in the mask, as a float."""
+        return self.full_entropy - _entropy(self.counts(mask))
+
+
+@functools.lru_cache(maxsize=16)
+def _index(problem: OracleProblem) -> _Index:
+    return _Index(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +357,7 @@ class _Core:
     """
 
     def __init__(self, problem: OracleProblem, family: str):
-        self.problem = problem
         self.family = family
-        self.ids = problem.setting_ids()
-        self.position = {b.value: i for i, b in enumerate(self.ids)}
         if family == "cells":
             positions = 1 << problem.arg_bits
             if positions > MAX_CELLS_POSITIONS:
@@ -340,10 +366,6 @@ class _Core:
                     f"entries, this problem has {positions}"
                 )
             keys = [c for size in range(positions + 1) for c in itertools.combinations(range(positions), size)]
-
-            def atom(q: int) -> tuple[int, ...]:
-                return _partition(st.table[q].value for st in problem.settings)
-
         elif family == "linear":
             self.width = problem.setting_width
             if self.width > MAX_LINEAR_WIDTH:
@@ -353,20 +375,17 @@ class _Core:
                 )
             keys = _all_subspaces(self.width)
             self.spans = tuple(_span_bits(basis) for basis in keys)
-
-            def atom(mask: int) -> tuple[int, ...]:
-                return _partition(_dot(mask, b.value) for b in self.ids)
-
         else:
             raise ValueError(f"unknown measurement family {family!r}")
+        self.index = index = _index(problem)
         self.keys = tuple(keys)
-        index = {key: s for s, key in enumerate(keys)}
+        spec_of = {key: s for s, key in enumerate(keys)}
         where = {x: a for a, x in enumerate(sorted({key[-1] for key in keys[1:]}))}
-        self.atoms = tuple(atom(x) for x in where)
-        self.recipe = tuple((index[key[:-1]], where[key[-1]]) for key in keys[1:])
-        self.outcome = _partition(st.a_outcome.value for st in problem.settings)
-        self.solution = _partition(st.solution for st in problem.settings)
-        self.full_entropy = _entropy(self._counts((1 << len(self.ids)) - 1))
+        # cells keys end in every position, so the cells atoms are the index's in order
+        self.atoms = index.cells if family == "cells" else tuple(
+            _partition(_dot(mask, b.value) for b in index.ids) for mask in where
+        )
+        self.recipe = tuple((spec_of[key[:-1]], where[key[-1]]) for key in keys[1:])
         self._columns: dict[int, tuple[int, ...]] = {}
         self._specs: dict[int, MeasurementSpec] = {}
         self._facts: dict[int, tuple[bool, int]] = {}
@@ -376,7 +395,7 @@ class _Core:
     def column(self, i: int) -> tuple[int, ...]:
         """Entry s: spec s's block at position i, its parent's cut by its atom's; built once."""
         if i not in self._columns:
-            blocks, atoms = [(1 << len(self.ids)) - 1], [a[i] for a in self.atoms]
+            blocks, atoms = [self.index.full], [a[i] for a in self.atoms]
             for parent, a in self.recipe:
                 blocks.append(blocks[parent] & atoms[a])
             self._columns[i] = tuple(blocks)
@@ -390,39 +409,18 @@ class _Core:
                               else MeasurementSpec("linear", masks=tuple(BitString(v, self.width) for v in key)))
         return self._specs[s]
 
-    def position_of(self, b: BitString) -> int:
-        self.problem.setting(b)
-        return self.position[b.value]
-
-    def subset(self, mask: int) -> frozenset[BitString]:
-        return frozenset(self.ids[i] for i in _members(mask))
-
-    def _counts(self, mask: int) -> tuple[int, ...]:
-        """Outcome-label counts inside the mask, ascending."""
-        counts = []
-        rest = mask
-        while rest:
-            part = mask & self.outcome[(rest & -rest).bit_length() - 1]
-            counts.append(part.bit_count())
-            rest ^= part
-        return tuple(sorted(counts))
-
     def facts(self, mask: int) -> tuple[bool, int]:
         """Whether the block leaves the answer undetermined, and its interned entropy key."""
         fact = self._facts.get(mask)
         if fact is None:
-            counts = self._counts(mask)
+            counts = self.index.counts(mask)
             key = self._key_of_counts.get(counts)
             if key is None:
                 key = self._key_ids.setdefault(_entropy_key(counts), len(self._key_ids))
                 self._key_of_counts[counts] = key
             first = (mask & -mask).bit_length() - 1
-            fact = self._facts[mask] = (mask & ~self.solution[first] != 0, key)
+            fact = self._facts[mask] = (mask & ~self.index.solution[first] != 0, key)
         return fact
-
-    def epsilon(self, mask: int) -> float:
-        """The block's entropy reduction as a float, for reports only."""
-        return self.full_entropy - _entropy(self._counts(mask))
 
     def partners(self, i: int, complementary: bool) -> Callable[[int], Iterator[int]]:
         """The pair predicate at setting position i, as each spec's partner generator.
@@ -512,11 +510,6 @@ def realized_subset(problem: OracleProblem, spec: MeasurementSpec, b_star: BitSt
     return frozenset(st.id for st in problem.settings if [_dot(m.value, st.id.value) for m in spec.masks] == reference)
 
 
-def _outcome_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
-    # summed over the ascending counts, as the core does, so both give the same float
-    return _entropy(sorted(Counter(problem.setting(b).a_outcome.value for b in subset).values()))
-
-
 def delta_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
     """Output-register entropy drop when the setting is known to lie in the subset.
 
@@ -525,10 +518,8 @@ def delta_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
     per-setting output states makes this equal to the von Neumann route
     (see :func:`delta_entropy_via_states`).
     """
-    subset = tuple(subset)
-    if not subset:
-        raise ValueError("empty subset")
-    return _outcome_entropy(problem, problem.setting_ids()) - _outcome_entropy(problem, subset)
+    index = _index(problem)
+    return index.epsilon(index.mask_of(subset))
 
 
 @functools.lru_cache(maxsize=16)
@@ -560,7 +551,7 @@ def enumerate_occam_pairs(
     and returned in canonical order.
     """
     config, core = _resolve(problem, config)
-    i = core.position_of(b_star)
+    i = core.index.mask_of((b_star,)).bit_length() - 1
     partners, column = core.partners(i, config.complementary), core.column(i)
     members = functools.cache(_members)  # each block's sort key, computed once per call
     first: dict[tuple[int, int], tuple] = {}
@@ -574,9 +565,9 @@ def enumerate_occam_pairs(
             if key not in first or rank < first[key][0]:
                 first[key] = (rank, a, b)
     ordered = sorted(first.items(), key=lambda item: (members(item[0][0]), members(item[0][1])))
-    subset = functools.cache(core.subset)
+    subset = functools.cache(core.index.subset)
     return tuple(
-        OccamPair(core.spec(a), subset(m_a), core.spec(b), subset(m_b), core.epsilon(m_a))
+        OccamPair(core.spec(a), subset(m_a), core.spec(b), subset(m_b), core.index.epsilon(m_a))
         for (m_a, m_b), (_, a, b) in ordered
     )
 
@@ -614,10 +605,10 @@ def setting_instances(
     block is admitted at its first partner, without listing every pair.
     """
     config, core = _resolve(problem, config)
-    i = core.position_of(b_star)
+    i = core.index.mask_of((b_star,)).bit_length() - 1
     found = _instances(core, i, config.complementary)
     return tuple(
-        AkInstance(core.subset(mask), core.spec(found[mask]), core.epsilon(mask))
+        AkInstance(core.index.subset(mask), core.spec(found[mask]), core.index.epsilon(mask))
         for mask in sorted(found, key=_members)
     )
 
@@ -641,46 +632,24 @@ class _TreeSolver:
     """
 
     def __init__(self, problem: OracleProblem):
-        self.problem = problem
-        self.ids = problem.setting_ids()
-        self.position = {b.value: i for i, b in enumerate(self.ids)}
-        self.arg_groups = tuple(
-            tuple(dict.fromkeys(_partition(st.table[a].value for st in problem.settings)))
-            for a in range(1 << problem.arg_bits)
-        )
-        self.args = tuple(range(len(self.arg_groups)))
-        self.sol_mask_of = _partition(st.solution for st in problem.settings)
-        self.solution_masks = tuple(dict.fromkeys(self.sol_mask_of))
+        self.index = index = _index(problem)
+        self.args = tuple(range(len(index.arg_groups)))
+        self.solution_masks = tuple(dict.fromkeys(index.solution))
         # the table classes holding settings with different answers
-        tables = _partition(tuple(e.value for e in st.table) for st in problem.settings)
-        self._undecidable = tuple(block for block in dict.fromkeys(tables) if not self.constant(block))
+        self._undecidable = tuple(block for block in dict.fromkeys(index.tables) if not index.constant(block))
         # settings x (argument, value) groups and settings x solutions, as 0/1
         # columns: one product with a batch of masks gives every part size
-        n = len(self.ids)
-        self._group_table = _bits([g for groups in self.arg_groups for g in groups], n).T.astype(np.float32)
-        self._group_starts = np.cumsum([0] + [len(groups) for groups in self.arg_groups[:-1]])
+        n = len(index.ids)
+        self._group_table = _bits([g for groups in index.arg_groups for g in groups], n).T.astype(np.float32)
+        self._group_starts = np.cumsum([0] + [len(groups) for groups in index.arg_groups[:-1]])
         self._solution_table = _bits(self.solution_masks, n).T.astype(np.float32)
         self._memo: dict[int, int] = {}
 
-    def mask_of(self, candidates: Iterable[BitString]) -> int:
-        mask = 0
-        for b in candidates:
-            i = self.position.get(b.value)
-            if i is None or self.ids[i] != b:
-                raise ValueError(f"candidate {b} is not a setting of {self.problem.name!r}")
-            mask |= 1 << i
-        if mask == 0:
-            raise ValueError("empty candidate set")
-        return mask
-
-    def constant(self, mask: int) -> bool:
-        first = (mask & -mask).bit_length() - 1
-        return mask & ~self.sol_mask_of[first] == 0
-
     def _splits(self, mask: int, args: tuple[int, ...]):
         out = []
+        arg_groups = self.index.arg_groups
         for a in args:
-            parts = [g & mask for g in self.arg_groups[a] if g & mask]
+            parts = [g & mask for g in arg_groups[a] if g & mask]
             if len(parts) >= 2:
                 out.append((a, parts))
         return out
@@ -696,7 +665,7 @@ class _TreeSolver:
     def _check(self, mask: int) -> None:
         for block in self._undecidable:
             part = mask & block
-            if part and not self.constant(part):
+            if part and not self.index.constant(part):
                 raise ValueError("candidate settings are indistinguishable but disagree on the answer")
 
     def _cost(self, mask: int, args: tuple[int, ...]) -> int:
@@ -708,7 +677,7 @@ class _TreeSolver:
         cached = self._memo.get(mask)
         if cached is not None:
             return cached
-        if self.constant(mask):
+        if self.index.constant(mask):
             self._memo[mask] = 0
             return 0
         splits = self._splits(mask, args)
@@ -753,7 +722,7 @@ class _TreeSolver:
             if self._undecidable:
                 for mask in fresh:
                     self._check(mask)
-            bits = _bits(fresh, len(self.ids)).astype(np.float32)
+            bits = _bits(fresh, len(self.index.ids)).astype(np.float32)
             size = bits.sum(axis=1)
             block = (bits @ self._solution_table).max(axis=1)
             largest = np.maximum.reduceat(bits @ self._group_table, self._group_starts, axis=1).min(axis=1)
@@ -782,14 +751,14 @@ def decision_tree_cost(problem: OracleProblem, candidates: Iterable[BitString]) 
     every call on the same problem.
     """
     solver = _solver(problem)
-    return solver.cost(solver.mask_of(candidates))
+    return solver.cost(solver.index.mask_of(candidates))
 
 
 # ---------------------------------------------------------------------------
 # Prediction
 
 
-def _translations(core: _Core, solver: _TreeSolver) -> tuple[int, ...]:
+def _translations(index: _Index) -> tuple[int, ...]:
     """The xor shifts t of the setting ids that are automorphisms of the problem.
 
     A shift is kept when b -> b ^ t permutes the settings, maps the outcome
@@ -799,16 +768,16 @@ def _translations(core: _Core, solver: _TreeSolver) -> tuple[int, ...]:
     ids[0] ^ v.  The kept shifts form a group, {0} when there is no
     symmetry, so one test decides a whole coset of the group found so far.
     """
-    values = [b.value for b in core.ids]
-    outcome, solution = frozenset(core.outcome), frozenset(solver.sol_mask_of)
-    args = Counter(frozenset(groups) for groups in solver.arg_groups)
+    values = [b.value for b in index.ids]
+    outcome, solution = frozenset(index.outcome), frozenset(index.solution)
+    args = Counter(frozenset(groups) for groups in index.arg_groups)
     kept, decided = [0], {0}
     for t in (values[0] ^ v for v in values):
         if t in decided:
             continue
         coset = [t ^ u for u in kept]
         decided.update(coset)
-        perm = [core.position.get(v ^ t) for v in values]
+        perm = [index.position.get(v ^ t) for v in values]
         if None in perm:
             continue
 
@@ -816,7 +785,7 @@ def _translations(core: _Core, solver: _TreeSolver) -> tuple[int, ...]:
             return frozenset(sum(1 << perm[i] for i in _members(block)) for block in blocks)
 
         if image(outcome) == outcome and image(solution) == solution:
-            if Counter(image(groups) for groups in solver.arg_groups) == args:
+            if Counter(image(groups) for groups in index.arg_groups) == args:
                 kept += coset
     return tuple(sorted(kept))
 
@@ -838,26 +807,26 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
     the copy is exact to the last bit.
     """
     config, core = _resolve(problem, config)
-    solver = _solver(problem)
-    baseline = solver.cost((1 << len(core.ids)) - 1)
-    shifts = _translations(core, solver)
+    solver, index = _solver(problem), core.index
+    baseline = solver.cost(index.full)
+    shifts = _translations(index)
 
     reports: list[SettingReport] = []
-    for i, b_star in enumerate(core.ids):
+    for i, b_star in enumerate(index.ids):
         representative = min(b_star.value ^ t for t in shifts)
         if representative < b_star.value:
             # ids ascend, so the representative's report is already made
-            reports.append(replace(reports[core.position[representative]], setting=b_star))
+            reports.append(replace(reports[index.position[representative]], setting=b_star))
             continue
         instances = _instances(core, i, config.complementary)
         counts: dict[int, tuple[int, ...]] = {}
         for mask in instances:
-            key, mine = core.facts(mask)[1], core._counts(mask)
+            key, mine = core.facts(mask)[1], index.counts(mask)
             counts[key] = min(counts.get(key, mine), mine)
         reports.append(
             SettingReport(
                 b_star,
-                tuple(sorted(core.full_entropy - _entropy(c) for c in counts.values())),
+                tuple(sorted(index.full_entropy - _entropy(c) for c in counts.values())),
                 tuple(sorted(Counter(mask.bit_count() for mask in instances).items())),
                 tuple(sorted(Counter(solver.costs(instances)).items())),
                 not instances,

@@ -121,24 +121,25 @@ def _optimal_transcript(
     Each query must split the current candidates and attain the minimax cost;
     candidates are then filtered by the value the true setting returns.  The
     transcript must end with the answer determined and no queries wasted.
-    Candidate sets are the problem solver's bitmasks, and a query's groups
+    Candidate sets are the problem index's bitmasks, and a query's groups
     are its argument's blocks.
     """
     solver = _solver(problem)
-    candidates = solver.mask_of(subset)
-    true_bit = solver.mask_of((true_setting,))
+    index = solver.index
+    candidates = index.mask_of(subset)
+    true_bit = index.mask_of((true_setting,))
     for a in queries:
-        if solver.constant(candidates):
+        if index.constant(candidates):
             return False  # queried after the answer was already fixed
         total = solver.cost(candidates)
         evaluate(problem, true_setting, a)  # rejects an argument of the wrong width
-        groups = [g & candidates for g in solver.arg_groups[a.value] if g & candidates]
+        groups = [g & candidates for g in index.arg_groups[a.value] if g & candidates]
         if len(groups) < 2:
             return False
         if 1 + max(solver.cost(g) for g in groups) != total:
             return False
         candidates = next(g for g in groups if g & true_bit)
-    return solver.constant(candidates)
+    return index.constant(candidates)
 
 
 def classify_history(

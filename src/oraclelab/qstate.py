@@ -62,9 +62,6 @@ class BitString:
             raise IndexError(f"bit position {position} out of range for width {self.width}")
         return (self.value >> (self.width - 1 - position)) & 1
 
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString((self.value << other.width) | other.value, self.width + other.width)
-
     def __invert__(self) -> "BitString":
         return BitString(self.value ^ ((1 << self.width) - 1), self.width)
 
@@ -496,13 +493,19 @@ def reduced_entropy(ensemble: BranchEnsemble, register: str) -> float:
     return float(-(eigenvalues * np.log2(eigenvalues)).sum())
 
 
+def _shannon(weights: Iterable[float], total: float = 1.0) -> float:
+    """-sum p log2 p over p = weight / total, summed in the given order, with 0 log 0 = 0."""
+    entropy = 0.0
+    for w in weights:
+        if w > 0:
+            p = w / total
+            entropy -= p * math.log2(p)
+    return entropy
+
+
 def shannon_entropy(dist: OutcomeDistribution) -> float:
     """-sum p log2 p over the distribution, with 0 log 0 = 0."""
-    total = 0.0
-    for _, p in dist.entries:
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
+    return _shannon(p for _, p in dist.entries)
 
 
 def _joint_rows(ensemble: BranchEnsemble) -> np.ndarray:

@@ -8,10 +8,11 @@ import pytest
 
 import oraclelab as ol
 from oraclelab import akrule
-from oraclelab.akrule import AkConfig, cells_spec, linear_spec
+from oraclelab.akrule import AkConfig, MeasurementSpec, cells_spec
 from oraclelab.qstate import ATOL, BitString
 
-from reference_tables import plain_minimax_cost
+from conftest import clear_caches
+from reference_tables import gf2_rref, plain_minimax_cost
 
 LOG2_3 = math.log2(3.0)
 
@@ -44,19 +45,13 @@ class TestConfig:
 
 
 class TestSpecs:
-    def test_linear_spec_canonicalizes_to_echelon_basis(self):
-        spec = linear_spec([bits("11"), bits("01")])
-        assert tuple(m.text for m in spec.masks) == ("10", "01")
-        same = linear_spec([bits("10"), bits("11")])
-        assert spec == same
-
     def test_trivial_specs(self):
         assert cells_spec([]).cells == frozenset()
-        assert linear_spec([]).masks == ()
+        assert MeasurementSpec("linear", masks=()).describe() == "masks{}"
 
     def test_describe(self):
         assert cells_spec([0, 1]).describe(2) == "cells{00,01}"
-        assert linear_spec([bits("11")]).describe() == "masks{11}"
+        assert MeasurementSpec("linear", masks=(bits("11"),)).describe() == "masks{11}"
 
 
 class TestRealizedSubset:
@@ -65,17 +60,17 @@ class TestRealizedSubset:
         assert texts(got) == {"0011", "0000"}
 
     def test_linear_parity_mask(self, grover2):
-        got = akrule.realized_subset(grover2, linear_spec([bits("11")]), bits("01"))
+        got = akrule.realized_subset(grover2, MeasurementSpec("linear", masks=(bits("11"),)), bits("01"))
         assert texts(got) == {"01", "10"}
 
     def test_single_bit_masks(self, grover2):
-        left = akrule.realized_subset(grover2, linear_spec([bits("10")]), bits("01"))
-        right = akrule.realized_subset(grover2, linear_spec([bits("01")]), bits("01"))
+        left = akrule.realized_subset(grover2, MeasurementSpec("linear", masks=(bits("10"),)), bits("01"))
+        right = akrule.realized_subset(grover2, MeasurementSpec("linear", masks=(bits("01"),)), bits("01"))
         assert texts(left) == {"00", "01"}
         assert texts(right) == {"01", "11"}
 
     def test_empty_spec_realizes_everything(self, grover2, dj2):
-        assert akrule.realized_subset(grover2, linear_spec([]), bits("01")) == frozenset(
+        assert akrule.realized_subset(grover2, MeasurementSpec("linear", masks=()), bits("01")) == frozenset(
             grover2.setting_ids()
         )
         assert akrule.realized_subset(dj2, cells_spec([]), bits("0011")) == frozenset(
@@ -84,7 +79,7 @@ class TestRealizedSubset:
 
     def test_unknown_setting(self, grover2):
         with pytest.raises(ValueError):
-            akrule.realized_subset(grover2, linear_spec([]), bits("0011"))
+            akrule.realized_subset(grover2, MeasurementSpec("linear", masks=()), bits("0011"))
 
 
 class TestDeltaEntropy:
@@ -118,6 +113,12 @@ class TestDeltaEntropy:
                 drop = akrule.delta_entropy(problem, subset)
                 assert -ATOL <= drop <= whole + ATOL
 
+    def test_repeated_setting_counts_once(self, grover2):
+        subset = [bits("01"), bits("01"), bits("00")]
+        expected = akrule.delta_entropy_via_states(grover2, subset)
+        assert abs(expected - 1.0) <= ATOL
+        assert abs(akrule.delta_entropy(grover2, subset) - expected) <= ATOL
+
     def test_state_route_matches_counting_route(self, grover2, dj2, simon2):
         rng = np.random.default_rng(29)
         for problem in (grover2, dj2, simon2):
@@ -128,6 +129,29 @@ class TestDeltaEntropy:
                 a = akrule.delta_entropy(problem, subset)
                 b = akrule.delta_entropy_via_states(problem, subset)
                 assert abs(a - b) <= ATOL
+
+
+class TestSettingCheck:
+    """Every entry point taking settings checks them through the problem index, with one message."""
+
+    @pytest.mark.parametrize("bad", [BitString(4, 3), BitString(1, 3)], ids=["absent", "wrong-width"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            akrule.enumerate_occam_pairs,
+            akrule.setting_instances,
+            lambda problem, b: akrule.decision_tree_cost(problem, [b]),
+            lambda problem, b: akrule.delta_entropy(problem, [b]),
+        ],
+        ids=["pairs", "instances", "tree-cost", "delta-entropy"],
+    )
+    def test_unknown_setting_rejected(self, grover2, call, bad):
+        with pytest.raises(ValueError, match="unknown setting"):
+            call(grover2, bad)
+
+    def test_one_index_per_problem(self, grover2):
+        index = akrule._core(grover2, "cells").index
+        assert index is akrule._core(grover2, "linear").index is akrule._solver(grover2).index
 
 
 class TestEnumeratePairs:
@@ -229,7 +253,7 @@ class TestDecisionTree:
     def test_affine_flat_costs_size_minus_one(self):
         problem = ol.build_grover(4)
         flat = akrule.realized_subset(
-            problem, linear_spec([bits("1000"), bits("0100")]), BitString(0, 4)
+            problem, MeasurementSpec("linear", masks=(bits("1000"), bits("0100"))), BitString(0, 4)
         )
         assert len(flat) == 4
         assert akrule.decision_tree_cost(problem, flat) == 3
@@ -279,7 +303,7 @@ class TestDecisionTree:
             akrule.decision_tree_cost(problem, problem.setting_ids())
         solver = akrule._TreeSolver(problem)
         with pytest.raises(ValueError, match="indistinguishable"):
-            solver.costs([solver.mask_of(problem.setting_ids())])
+            solver.costs([solver.index.mask_of(problem.setting_ids())])
         # sets without the pair are still solved
         assert akrule.decision_tree_cost(problem, [bits("00"), bits("10")]) == 1
         assert solver.costs([0b101, 0b110, 0b001]) == [1, 1, 0]
@@ -368,7 +392,7 @@ class TestPredict:
 
 
 def translations(problem):
-    return akrule._translations(akrule._core(problem, problem.default_family), akrule._solver(problem))
+    return akrule._translations(akrule._index(problem))
 
 
 def grover_document(n):
@@ -463,7 +487,7 @@ class TestOccamAudit:
                     else:
                         masks = [m.value for m in pair.spec_i.masks + pair.spec_j.masks]
                         assert len(masks) == problem.setting_width
-                        assert len(akrule._rref(masks)) == problem.setting_width
+                        assert len(gf2_rref(masks)) == problem.setting_width
 
 
 class TestFamilyGuards:
@@ -480,8 +504,7 @@ class TestFamilyGuards:
 
 def fresh_core(problem, family):
     """The core a call on the problem will use, built anew with no column formed."""
-    akrule._core.cache_clear()
-    akrule._solver.cache_clear()
+    clear_caches()
     core = akrule._core(problem, family)
     assert not core._columns
     return core

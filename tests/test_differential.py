@@ -35,7 +35,15 @@ from oraclelab import akrule
 from oraclelab.akrule import AkConfig, SettingReport
 from oraclelab.qstate import ATOL, BitString
 
-from reference_tables import bfs_subspaces, brute_force_pairs, memo_minimax_cost, plain_minimax_cost, reference_specs
+from conftest import clear_caches
+from reference_tables import (
+    bfs_subspaces,
+    brute_force_pairs,
+    gf2_rref,
+    memo_minimax_cost,
+    plain_minimax_cost,
+    reference_specs,
+)
 
 MODES = [(family, complementary) for family in ("cells", "linear") for complementary in (True, False)]
 
@@ -125,11 +133,11 @@ def assert_columns_match(problem, family, positions=None):
     """Spec s's block in column i is the realized subset of spec s at setting i."""
     core = akrule._Core(problem, family)
     assert [core.spec(s) for s in range(len(core.keys))] == reference_specs(problem, family)
-    for i in range(len(core.ids)) if positions is None else positions:
+    for i in range(len(core.index.ids)) if positions is None else positions:
         column = core.column(i)
         assert len(column) == len(core.keys)
         for s, mask in enumerate(column):
-            assert core.subset(mask) == akrule.realized_subset(problem, core.spec(s), core.ids[i]), (i, s)
+            assert core.index.subset(mask) == akrule.realized_subset(problem, core.spec(s), core.index.ids[i]), (i, s)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +254,7 @@ def test_solver_matches_memoized_minimax_on_large_sets(source):
     for _ in range(100):
         subset = rng.sample(ids, rng.randint(1, min(24, len(ids))))
         expected = memo_minimax_cost(tables, solutions, [b.text for b in subset], memo)
-        assert solver.cost(solver.mask_of(subset)) == expected
+        assert solver.cost(solver.index.mask_of(subset)) == expected
         assert akrule.decision_tree_cost(problem, subset) == expected
 
 
@@ -323,8 +331,7 @@ REDUCTION_CASES = [
 def builtin(selector):
     # one object per selector, and no equal problem left in the package's
     # caches by an earlier test, so a lookup matches by identity
-    akrule._core.cache_clear()
-    akrule._solver.cache_clear()
+    clear_caches()
     return ol.parse_selector(selector)
 
 
@@ -361,7 +368,7 @@ def covariant_problems(draw):
     low = (1 << arg_bits) - 1
 
     def span(vectors):
-        bits = akrule._span_bits(akrule._rref(vectors))
+        bits = akrule._span_bits(gf2_rref(vectors))
         return [v for v in range(1 << width) if bits >> v & 1]
 
     swap = draw(st.sampled_from(["", "table", "answer", "outcome"]))
@@ -426,6 +433,6 @@ def covariant_problems(draw):
 @given(case=covariant_problems())
 def test_orbit_reduced_predict_matches_unreduced_with_planted_symmetry(case, family, complementary):
     problem, shifts = case
-    found = akrule._translations(akrule._core(problem, family), akrule._solver(problem))
+    found = akrule._translations(akrule._index(problem))
     assert set(shifts) <= set(found)
     assert_reduction_exact(problem, family, complementary)

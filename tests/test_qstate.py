@@ -41,9 +41,6 @@ class TestBitString:
         assert (~BitString.from_text("10")).text == "01"
         assert (~BitString.from_text("0011")).text == "1100"
 
-    def test_concat(self):
-        assert BitString.from_text("00").concat(BitString.from_text("11")).text == "0011"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BitString(4, 2)
