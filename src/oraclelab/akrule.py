@@ -43,23 +43,18 @@ MAX_CELLS_POSITIONS = 16
 class AkConfig:
     """Knobs of the analysis.
 
-    ``retroaction`` must be 1/2, the only fraction with a defined procedure.
-    ``family`` picks the readouts, ``cells`` or ``linear``; None means the
-    problem's default.  ``complementary`` requires the two readouts of a pair
-    to split the cell positions into complements, or the mask spaces into a
-    direct sum; off, any two distinct readouts may pair.  Entropy reductions
-    are compared exactly, so there is no tolerance.
+    The retroaction fraction is fixed at R = 1/2, the only fraction with a
+    defined procedure.  ``family`` picks the readouts, ``cells`` or ``linear``;
+    None means the problem's default.  ``complementary`` requires the two
+    readouts of a pair to split the cell positions into complements, or the
+    mask spaces into a direct sum; off, any two distinct readouts may pair.
+    Entropy reductions are compared exactly, so there is no tolerance.
     """
 
-    retroaction: Fraction = Fraction(1, 2)
     family: str | None = None
     complementary: bool = True
 
     def __post_init__(self) -> None:
-        if Fraction(self.retroaction) != Fraction(1, 2):
-            raise ValueError(
-                f"retroaction {self.retroaction} is not supported; only 1/2 has a defined procedure"
-            )
         if self.family is not None and self.family not in ("cells", "linear"):
             raise ValueError(f"unknown measurement family {self.family!r}")
 

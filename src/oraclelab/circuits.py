@@ -19,7 +19,6 @@ from .oracle import OracleProblem, build_grover, build_simon
 from .qstate import (
     ATOL,
     BitString,
-    Branch,
     BranchEnsemble,
     PureState,
     RegisterLayout,
@@ -328,15 +327,15 @@ def derive_a_outcome(circuit: Circuit, problem: OracleProblem, b: BitString) -> 
     for this problem.
     """
     problem.setting(b)
-    branch = BranchEnsemble(circuit.layout, (Branch(b, 1.0, initial_state(circuit)),))
+    branch = BranchEnsemble.uniform(circuit.layout, (b,), initial_state(circuit))
     dist = measure_register(run(circuit, branch).final, "A")
-    best, p = max(dist.entries, key=lambda e: e[1])
+    p = max(dist.probs)
     if abs(p - 1.0) > ATOL:
         raise ValueError(
             f"output state of register A is not sharp for setting {b.text} "
             f"(largest outcome probability {p:.6f})"
         )
-    return best
+    return BitString(dist.values[dist.probs.index(p)], dist.width)
 
 
 def trace_records(trace: StageTrace, threshold: float = 1e-12) -> list[dict]:
@@ -346,14 +345,14 @@ def trace_records(trace: StageTrace, threshold: float = 1e-12) -> list[dict]:
     records = []
     for label, ensemble in zip(labels, trace.ensembles):
         branches = []
-        for br in ensemble.branches:
+        for setting, weight, row in zip(ensemble.settings, ensemble.weights, ensemble.amplitudes):
             amplitudes = [
                 [layout.state_label(i), float(a.real), float(a.imag)]
-                for i, a in enumerate(br.state.amplitudes)
+                for i, a in enumerate(row)
                 if abs(a) > threshold
             ]
             branches.append(
-                {"setting": br.setting.text, "weight": br.weight, "amplitudes": amplitudes}
+                {"setting": setting.text, "weight": weight, "amplitudes": amplitudes}
             )
         records.append({"stage": label, "branches": branches})
     return records

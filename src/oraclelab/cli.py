@@ -51,15 +51,15 @@ def _cmd_simulate(args) -> int:
     problem = circuit.problem
     setting = _setting(problem, args.setting)
     trace = circuits.run(circuit, qstate.prepare_setting(circuits.initial_ensemble(circuit), setting))
-    dist = qstate.measure_register(trace.final, "A")
-    outcome = max(dist.entries, key=lambda e: e[1])[0]
+    probs = qstate.measure_register(trace.final, "A").as_dict()
+    outcome = max(probs, key=probs.get)
     solution = problem.setting(setting).solution
     payload = {
         "problem": args.problem,
         "circuit": circuit.name,
         "setting": setting.text,
         "stages": [st.label for st in circuit.stages],
-        "distribution": {k: round(v, 6) for k, v in dist.as_dict().items()},
+        "distribution": {k: round(v, 6) for k, v in probs.items()},
         "solution": solution,
     }
     if args.stages:
@@ -70,9 +70,9 @@ def _cmd_simulate(args) -> int:
     print(f"circuit {circuit.name} on setting {setting.text}")
     print("stages: " + " -> ".join(payload["stages"]))
     print("final A distribution:")
-    for o, p in dist.entries:
-        print(f"  {o.text}  {p:.6f}")
-    print(f"most likely outcome: {outcome.text}")
+    for text, p in probs.items():
+        print(f"  {text}  {p:.6f}")
+    print(f"most likely outcome: {outcome}")
     print(f"solution: {solution}")
     if args.stages:
         print(json.dumps(payload["trace"], indent=2))
@@ -212,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         if setting_required:
             p.add_argument("--setting", required=True, help="the hidden setting, as a bit string")
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--family", choices=("cells", "linear"), default=None,
-                       help="measurement family (defaults to the problem's)")
-        p.add_argument("--complementary", action=argparse.BooleanOptionalAction, default=True,
-                       help="require complementary splits (default on)")
 
     p_sim = sub.add_parser("simulate", help="run the built-in circuit on one setting")
     add_common(p_sim, setting_required=True)
@@ -234,6 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_hist, setting_required=True, formats=("text", "json", "dot"))
     p_hist.add_argument("--v-branch", choices=("0", "1", "both"), default="0")
     p_hist.set_defaults(handler=_cmd_histories)
+    for p in (p_ak, p_pred, p_hist):  # the analysis commands; simulate runs a fixed circuit
+        p.add_argument("--family", choices=("cells", "linear"), default=None,
+                       help="measurement family (defaults to the problem's)")
+        p.add_argument("--complementary", action=argparse.BooleanOptionalAction, default=True,
+                       help="require complementary splits (default on)")
 
     p_ver = sub.add_parser("verify", help="run the acceptance and invariant checks")
     p_ver.add_argument("--only", default=None, help="run a single check by id")

@@ -19,7 +19,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .qstate import MAX_TOTAL_WIDTH, Branch, BranchEnsemble, BitString, PureState, RegisterLayout
+import numpy as np
+
+from .qstate import MAX_TOTAL_WIDTH, BranchEnsemble, BitString, PureState, RegisterLayout
 
 FAMILIES = ("cells", "linear")
 
@@ -383,9 +385,5 @@ def input_ensemble(problem: OracleProblem) -> BranchEnsemble:
 def output_ensemble(problem: OracleProblem) -> BranchEnsemble:
     """The solved form: each branch carries its setting's a_outcome in register A."""
     layout = problem_layout(problem)
-    branches = []
-    weight = 1.0 / len(problem.settings)
-    for st in problem.settings:
-        state = PureState.basis(layout, {"A": st.a_outcome})
-        branches.append(Branch(st.id, weight, state))
-    return BranchEnsemble(layout, tuple(branches))
+    rows = np.eye(layout.state_dim)[[st.a_outcome.value for st in problem.settings]]
+    return BranchEnsemble(layout, problem.setting_ids(), (1.0 / len(rows),) * len(rows), rows)

@@ -69,22 +69,6 @@ class BitString:
         return self.text
 
 
-_set_value = BitString.__dict__["value"].__set__
-_set_width = BitString.__dict__["width"].__set__
-
-
-def _unchecked_bits(values: list[int], width: int) -> list[BitString]:
-    """BitStrings of one width built without ``__post_init__``, for values already range-checked.
-
-    The slots are filled by C-level ``map`` calls, with no Python frame per object; the
-    setters return None, so ``any`` runs each map to its end.
-    """
-    bits = list(map(object.__new__, itertools.repeat(BitString, len(values))))
-    any(map(_set_value, bits, values))
-    any(map(_set_width, bits, itertools.repeat(width)))
-    return bits
-
-
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named registers; at most one is the setting register.
@@ -132,7 +116,7 @@ class RegisterLayout:
     def state_width(self) -> int:
         return sum(w for _, w in self.state_registers)
 
-    @property
+    @functools.cached_property
     def state_dim(self) -> int:
         return 1 << self.state_width
 
@@ -251,116 +235,131 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class BranchEnsemble:
-    """A classical mixture of setting-labeled pure states.
+    """A classical mixture of setting-labeled pure states, stored as arrays.
 
-    Branches are kept in canonical order (ascending setting value) and their
-    weights sum to one.
+    ``settings`` ascend by value (other input orders are reordered), ``weights``
+    are floats that sum to one, and row k of the read-only complex128
+    ``amplitudes`` matrix is the state of branch k.  :attr:`branches` forms one
+    :class:`Branch` per row on first read.
     """
 
     layout: RegisterLayout
-    branches: tuple[Branch, ...]
+    settings: tuple[BitString, ...]
+    weights: tuple[float, ...]
+    amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         if self.layout.setting_register is None:
             raise ValueError("ensemble layout must designate a setting register")
-        if not self.branches:
+        settings, weights = tuple(self.settings), tuple(map(float, self.weights))
+        if not settings:
             raise ValueError("ensemble needs at least one branch")
-        order = sorted(range(len(self.branches)), key=lambda i: self.branches[i].setting.value)
-        branches = tuple(self.branches[i] for i in order)
-        setting_width = self.layout.width(self.layout.setting_register)
-        state_layout = self.layout.state_only()
-        seen = set()
-        total = 0.0
-        for br in branches:
-            if br.setting.width != setting_width:
-                raise ValueError(
-                    f"setting {br.setting} has width {br.setting.width}, register has {setting_width}"
-                )
-            if br.setting.value in seen:
-                raise ValueError(f"duplicate setting {br.setting}")
-            seen.add(br.setting.value)
-            if br.weight < -ATOL:
-                raise ValueError(f"negative branch weight {br.weight}")
-            if br.state.layout.registers != state_layout.registers:
-                raise ValueError("all branch states must share the ensemble's state layout")
-            total += br.weight
+        if len(weights) != len(settings):
+            raise ValueError(f"{len(weights)} weights for {len(settings)} branches")
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        shape = (len(settings), self.layout.state_dim)
+        if amps.shape != shape:
+            raise ValueError(f"amplitude matrix has shape {amps.shape}, expected {shape}")
+        values = [s.value for s in settings]
+        if any(map(operator.gt, values, values[1:])):
+            order = sorted(range(len(values)), key=values.__getitem__)
+            settings, weights = tuple(settings[i] for i in order), tuple(weights[i] for i in order)
+            amps = amps[order]
+        width = self.layout.width(self.layout.setting_register)
+        for i, s in enumerate(settings):
+            if s.width != width:
+                raise ValueError(f"setting {s} has width {s.width}, register has {width}")
+            if i and s.value == settings[i - 1].value:
+                raise ValueError(f"duplicate setting {s}")
+        if min(weights) < -ATOL:
+            raise ValueError(f"negative branch weight {min(weights)}")
+        total = sum(weights)
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"branch weights sum to {total!r}, not 1")
-        object.__setattr__(self, "branches", branches)
+        if amps.flags.writeable or not amps.flags.c_contiguous:
+            amps = np.array(amps, order="C")  # the ensemble's own read-only copy
+            amps.setflags(write=False)
+        # row norms from the interleaved float64 view: one square and one sum for the whole matrix
+        for norm in map(math.sqrt, np.add.reduce(np.square(amps.view(np.float64)), axis=1).tolist()):
+            if abs(norm - 1.0) > ATOL:
+                raise ValueError(f"state norm {norm!r} is not 1 within {ATOL}")
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def uniform(
         cls, layout: RegisterLayout, settings: Iterable[BitString], state: PureState
     ) -> "BranchEnsemble":
         settings = tuple(settings)
-        weight = 1.0 / len(settings)
-        return cls(layout, tuple(Branch(s, weight, state) for s in settings))
+        rows = np.repeat(state.amplitudes[None], len(settings), axis=0)
+        return cls(layout, settings, (1.0 / len(settings),) * len(settings), rows)
 
-    def settings(self) -> tuple[BitString, ...]:
-        return tuple(br.setting for br in self.branches)
-
-    def branch(self, setting: BitString) -> Branch:
-        for br in self.branches:
-            if br.setting == setting:
-                return br
-        raise ValueError(f"setting {setting} not present in the ensemble")
+    @functools.cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        """One :class:`Branch` per amplitude row, formed on first read."""
+        state_layout = self.layout.state_only()
+        return tuple(
+            Branch(s, w, PureState(state_layout, row))
+            for s, w, row in zip(self.settings, self.weights, self.amplitudes)
+        )
 
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """A probability distribution over distinct basis outcomes, in ascending value order."""
+    """A probability distribution over distinct basis outcomes of one bit width.
 
-    entries: tuple[tuple[BitString, float], ...]
+    Stored as ascending outcome ``values`` (other input orders are sorted) and
+    their ``probs``; :attr:`entries` forms the ``(BitString, p)`` pairs on first read.
+    """
+
+    values: tuple[int, ...]
+    probs: tuple[float, ...]
+    width: int
 
     def __post_init__(self) -> None:
-        entries = tuple(sorted(self.entries, key=lambda e: e[0].value))
-        _check_distribution([o.value for o, _ in entries], [o.width for o, _ in entries], [p for _, p in entries])
-        object.__setattr__(self, "entries", entries)
+        """The one check: distinct values that fit the width, each p in [-ATOL, 1 + ATOL], the
+        sum 1 within ATOL.  C-level reductions keep it cheap for tiny distributions and large ones alike."""
+        values, probs, width = tuple(self.values), tuple(self.probs), self.width
+        if len(probs) != len(values):
+            raise ValueError(f"{len(probs)} probabilities for {len(values)} outcomes")
+        if any(map(operator.gt, values, values[1:])):
+            values, probs = zip(*sorted(zip(values, probs)))
+        if any(map(operator.eq, values, values[1:])):
+            raise ValueError("outcomes must be distinct")
+        for v in values[:1] + values[-1:]:  # ascending: only the first and the last can fail to fit
+            BitString(v, width)  # raises with the constructor's message
+        if probs and (min(probs) < -ATOL or max(probs) > 1.0 + ATOL):
+            for v, p in zip(values, probs):
+                if not -ATOL <= p <= 1.0 + ATOL:
+                    raise ValueError(f"probability {p!r} for outcome {format(v, f'0{width}b')} is out of range")
+        total = sum(probs, 0.0)
+        if not abs(total - 1.0) <= ATOL:  # also rejects a NaN anywhere
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probs", probs)
 
-    @classmethod
-    def _from_arrays(cls, values: np.ndarray, probs: np.ndarray, width: int) -> "OutcomeDistribution":
-        """The distribution of ascending outcome values of one width, checked once."""
-        values, probs = values.tolist(), probs.tolist()
-        _check_distribution(values, [width] * len(values), probs)
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "entries", tuple(zip(_unchecked_bits(values, width), probs)))
-        return dist
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[BitString, float], ...]:
+        """The ``(outcome, p)`` pairs in ascending outcome order, formed on first read."""
+        return tuple(zip(map(BitString, self.values, itertools.repeat(self.width)), self.probs))
 
     def probability(self, outcome: "BitString | str") -> float:
         if isinstance(outcome, str):
             outcome = BitString.from_text(outcome)
-        i = bisect.bisect_left(self.entries, outcome.value, key=lambda e: e[0].value)
-        if i < len(self.entries) and self.entries[i][0] == outcome:
-            return self.entries[i][1]
+        i = bisect.bisect_left(self.values, outcome.value)
+        if outcome.width == self.width and i < len(self.values) and self.values[i] == outcome.value:
+            return self.probs[i]
         return 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {o.text: p for o, p in self.entries}
-
-
-def _check_distribution(values: list[int], widths: list[int], probs: list[float]) -> None:
-    """The one check of every :class:`OutcomeDistribution`: ascending values distinct and fitting
-    their widths, each p in [-ATOL, 1 + ATOL], the sum 1 within ATOL.  C-level reductions over
-    plain lists keep it cheap for tiny distributions and large ones alike."""
-    if any(map(operator.ge, values, values[1:])):
-        raise ValueError("outcomes must be distinct")
-    # v >> w is nonzero exactly when v is negative or needs more than w bits
-    if any(map(operator.rshift, values, widths)):
-        for v, w in zip(values, widths):
-            BitString(v, w)  # raises with the constructor's message
-    if probs and (min(probs) < -ATOL or max(probs) > 1.0 + ATOL):
-        for v, w, p in zip(values, widths, probs):
-            if not -ATOL <= p <= 1.0 + ATOL:
-                raise ValueError(f"probability {p!r} for outcome {format(v, f'0{w}b')} is out of range")
-    total = sum(probs, 0.0)
-    if not abs(total - 1.0) <= ATOL:  # also rejects a NaN anywhere
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+        spec = f"0{self.width}b"
+        return {format(v, spec): p for v, p in zip(self.values, self.probs)}
 
 
 def _tensor(ensemble: BranchEnsemble) -> np.ndarray:
-    """The branch states stacked and viewed as (branches, *register dims) in layout order."""
-    rows = np.stack([br.state.amplitudes for br in ensemble.branches])
-    return rows.reshape((len(rows),) + ensemble.layout.state_shape)
+    """The amplitude matrix viewed as (branches, *register dims) in layout order."""
+    return ensemble.amplitudes.reshape((len(ensemble.settings),) + ensemble.layout.state_shape)
 
 
 @runtime_checkable
@@ -386,29 +385,24 @@ def apply_stage(ensemble: BranchEnsemble, stage: StageLike) -> BranchEnsemble:
     designated preparation stage on the setting register relabels branches
     instead.  Raises if a stage drifts any branch norm by more than ``ATOL``.
     """
-    relabel = stage.setting_relabel(ensemble.layout)
+    layout, settings, weights, before = ensemble.layout, ensemble.settings, ensemble.weights, ensemble.amplitudes
+    relabel = stage.setting_relabel(layout)
     if relabel is not None:
-        branches = tuple(Branch(relabel(br.setting), br.weight, br.state) for br in ensemble.branches)
-        return BranchEnsemble(ensemble.layout, branches)
-    before = np.stack([br.state.amplitudes for br in ensemble.branches])
-    after = stage.act(ensemble.layout, before, ensemble.settings())
+        return BranchEnsemble(layout, tuple(map(relabel, settings)), weights, before)
+    after = stage.act(layout, before, settings)
     drift = float(np.max(np.abs(np.linalg.norm(after, axis=1) - np.linalg.norm(before, axis=1))))
     if drift > ATOL:
         raise ValueError(f"stage {stage.label!r} is not norm-preserving (drift {drift:.3e})")
-    state_layout = ensemble.branches[0].state.layout
-    branches = tuple(
-        Branch(br.setting, br.weight, PureState(state_layout, amps))
-        for br, amps in zip(ensemble.branches, after)
-    )
-    return BranchEnsemble(ensemble.layout, branches)
+    after.setflags(write=False)  # the stage's fresh output: the ensemble keeps it without a copy
+    return BranchEnsemble(layout, settings, weights, after)
 
 
 def prepare_setting(ensemble: BranchEnsemble, outcome: BitString) -> BranchEnsemble:
     """Collapse onto the branch whose setting equals the measured outcome."""
-    for br in ensemble.branches:
-        if br.setting == outcome:
-            return BranchEnsemble(ensemble.layout, (Branch(outcome, 1.0, br.state),))
-    raise ValueError(f"setting {outcome} not present in the ensemble")
+    i = bisect.bisect_left(ensemble.settings, outcome)
+    if i == len(ensemble.settings) or ensemble.settings[i] != outcome:
+        raise ValueError(f"setting {outcome} not present in the ensemble")
+    return BranchEnsemble(ensemble.layout, (outcome,), (1.0,), ensemble.amplitudes[i : i + 1])
 
 
 def project_setting_subset(ensemble: BranchEnsemble, subset: Iterable[BitString]) -> BranchEnsemble:
@@ -418,12 +412,13 @@ def project_setting_subset(ensemble: BranchEnsemble, subset: Iterable[BitString]
     selection.  Branch states are untouched.
     """
     wanted = frozenset(subset)
-    kept = [br for br in ensemble.branches if br.setting in wanted]
-    total = sum(br.weight for br in kept)
+    kept = [i for i, s in enumerate(ensemble.settings) if s in wanted]
+    total = sum(ensemble.weights[i] for i in kept)
     if not kept or total <= ATOL:
         raise ValueError("projection onto the subset has probability zero")
-    branches = tuple(Branch(br.setting, br.weight / total, br.state) for br in kept)
-    return BranchEnsemble(ensemble.layout, branches)
+    settings = tuple(ensemble.settings[i] for i in kept)
+    weights = tuple(ensemble.weights[i] / total for i in kept)
+    return BranchEnsemble(ensemble.layout, settings, weights, ensemble.amplitudes[kept])
 
 
 def measure_register(ensemble: BranchEnsemble, *registers: str) -> OutcomeDistribution:
@@ -437,7 +432,7 @@ def measure_register(ensemble: BranchEnsemble, *registers: str) -> OutcomeDistri
         raise ValueError("need at least one register to measure")
     layout = ensemble.layout
     probs = np.abs(_tensor(ensemble)) ** 2
-    probs *= _along([br.weight for br in ensemble.branches], 0, probs.ndim)
+    probs *= _along(ensemble.weights, 0, probs.ndim)
     # sum over the unmeasured axes; the branch axis stands for the setting register
     kept = list(dict.fromkeys(0 if n == layout.setting_register else 1 + layout.axis(n) for n in registers))
     probs = probs.sum(axis=tuple(i for i in range(probs.ndim) if i not in kept), keepdims=True)
@@ -447,7 +442,7 @@ def measure_register(ensemble: BranchEnsemble, *registers: str) -> OutcomeDistri
     for name in registers:
         width = layout.width(name)
         if name == layout.setting_register:
-            part = _along([br.setting.value for br in ensemble.branches], 0, probs.ndim)
+            part = _along([s.value for s in ensemble.settings], 0, probs.ndim)
         else:
             part = _along(np.arange(1 << width), 1 + layout.axis(name), probs.ndim)
         values = (values << width) | part
@@ -458,7 +453,7 @@ def measure_register(ensemble: BranchEnsemble, *registers: str) -> OutcomeDistri
         order = kept + [i for i in range(probs.ndim) if i not in kept]
         probs, values = probs.transpose(order), values.transpose(order)
     nonzero = probs > 1e-15
-    return OutcomeDistribution._from_arrays(values[nonzero], probs[nonzero], total_width)
+    return OutcomeDistribution(values[nonzero].tolist(), probs[nonzero].tolist(), total_width)
 
 
 def _along(values, axis: int, ndim: int) -> np.ndarray:
@@ -470,7 +465,7 @@ def _reduced_density(ensemble: BranchEnsemble, register: str) -> np.ndarray:
     """rho = K K^H in one product, K the sqrt(weight)-scaled branch states with the register
     axis first and the rest flattened; weights within ATOL below zero count as zero."""
     tensor = _tensor(ensemble)
-    weights = np.sqrt(np.maximum([br.weight for br in ensemble.branches], 0.0))
+    weights = np.sqrt(np.maximum(ensemble.weights, 0.0))
     kept = np.moveaxis(tensor * _along(weights, 0, tensor.ndim), 1 + ensemble.layout.axis(register), 0)
     kept = kept.reshape(len(kept), -1)
     return kept @ kept.conj().T
@@ -484,7 +479,7 @@ def reduced_entropy(ensemble: BranchEnsemble, register: str) -> float:
     """
     layout = ensemble.layout
     if register == layout.setting_register:
-        eigenvalues = np.array([br.weight for br in ensemble.branches])
+        eigenvalues = np.array(ensemble.weights)
     else:
         eigenvalues = np.linalg.eigvalsh(_reduced_density(ensemble, register)).real
     eigenvalues = eigenvalues[eigenvalues > EIG_FLOOR]
@@ -505,14 +500,14 @@ def _shannon(weights: Iterable[float], total: float = 1.0) -> float:
 
 def shannon_entropy(dist: OutcomeDistribution) -> float:
     """-sum p log2 p over the distribution, with 0 log 0 = 0."""
-    return _shannon(p for _, p in dist.entries)
+    return _shannon(dist.probs)
 
 
 def _joint_rows(ensemble: BranchEnsemble) -> np.ndarray:
     """One joint vector |b>|psi_b> over all registers per branch, setting included."""
     layout = ensemble.layout
     tensor = _tensor(ensemble)
-    settings = [br.setting.value for br in ensemble.branches]
+    settings = [s.value for s in ensemble.settings]
     onehot = np.eye(1 << layout.width(layout.setting_register))[settings]
     joint = np.einsum("rs,r...->rs...", onehot, tensor)
     return np.moveaxis(joint, 1, 1 + layout.names.index(layout.setting_register)).reshape(len(tensor), -1)
@@ -521,7 +516,7 @@ def _joint_rows(ensemble: BranchEnsemble) -> np.ndarray:
 def density_matrix(ensemble: BranchEnsemble) -> np.ndarray:
     """Exact joint density operator over all registers, setting included."""
     rows = _joint_rows(ensemble)
-    weights = np.array([br.weight for br in ensemble.branches])
+    weights = np.array(ensemble.weights)
     return (rows.T * weights) @ rows.conj()
 
 
@@ -535,29 +530,17 @@ def sampled_phase_density(ensemble: BranchEnsemble, samples: int = 10_000, seed:
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(samples, len(ensemble.branches)))
-    weights = np.array([br.weight for br in ensemble.branches])
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(samples, len(ensemble.settings)))
+    weights = np.array(ensemble.weights)
     vectors = (np.sqrt(weights) * np.exp(1j * phases)) @ _joint_rows(ensemble)
     return vectors.T @ vectors.conj() / samples
 
 
-def states_close(a: PureState, b: PureState, atol: float = ATOL) -> bool:
-    return a.layout.registers == b.layout.registers and bool(
-        np.allclose(a.amplitudes, b.amplitudes, atol=atol, rtol=0.0)
-    )
-
-
 def ensembles_close(a: BranchEnsemble, b: BranchEnsemble, atol: float = ATOL) -> bool:
     """Branch-by-branch equality in canonical order: settings, weights, amplitudes."""
-    if a.layout.registers != b.layout.registers:
-        return False
-    if a.layout.setting_register != b.layout.setting_register:
-        return False
-    if len(a.branches) != len(b.branches):
-        return False
-    for x, y in zip(a.branches, b.branches):
-        if x.setting != y.setting or abs(x.weight - y.weight) > atol:
-            return False
-        if not states_close(x.state, y.state, atol):
-            return False
-    return True
+    return (
+        a.layout == b.layout
+        and a.settings == b.settings
+        and all(abs(x - y) <= atol for x, y in zip(a.weights, b.weights))
+        and bool(np.allclose(a.amplitudes, b.amplitudes, atol=atol, rtol=0.0))
+    )

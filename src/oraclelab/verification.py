@@ -302,10 +302,10 @@ def check_histories() -> None:
 # Criterion 8: randomized property suites
 
 
-def _random_state(rng, layout) -> qstate.PureState:
-    dim = layout.state_only().state_dim
+def _random_state(rng, layout) -> np.ndarray:
+    dim = layout.state_dim
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return qstate.PureState(layout.state_only(), vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
 
 
 def _random_ensemble(rng, problem=None) -> qstate.BranchEnsemble:
@@ -323,10 +323,8 @@ def _random_ensemble(rng, problem=None) -> qstate.BranchEnsemble:
         settings = [ids[int(i)] for i in rng.choice(len(ids), size=count, replace=False)]
     weights = rng.random(len(settings)) + 0.1
     weights /= weights.sum()
-    branches = tuple(
-        qstate.Branch(s, float(w), _random_state(rng, layout)) for s, w in zip(settings, weights)
-    )
-    return qstate.BranchEnsemble(layout, branches)
+    rows = [_random_state(rng, layout) for _ in settings]
+    return qstate.BranchEnsemble(layout, settings, weights, rows)
 
 
 def check_property_suites() -> None:
@@ -343,7 +341,7 @@ def check_property_suites() -> None:
         late = qstate.project_setting_subset(circuits.run(circuit, full).final, subset)
         early = circuits.run(circuit, qstate.project_setting_subset(full, subset)).final
         assert qstate.ensembles_close(late, early), f"projection does not commute on {circuit.name}"
-        assert circuits.run(circuit, full).final.settings() == full.settings(), "settings changed"
+        assert circuits.run(circuit, full).final.settings == full.settings, "settings changed"
 
     # oracle involution, both encodings
     problems = [c.problem for c in built]
@@ -432,10 +430,10 @@ def check_circuit_invariants() -> None:
         problem = circuit.problem
         full = circuits.initial_ensemble(circuit)
         trace = circuits.run(circuit, full)
-        for br in trace.final.branches:
-            st = problem.setting(br.setting)
+        for b in trace.final.settings:
+            st = problem.setting(b)
             dist = qstate.measure_register(
-                qstate.prepare_setting(trace.final, br.setting), "A"
+                qstate.prepare_setting(trace.final, b), "A"
             )
             _close(dist.probability(st.a_outcome), 1.0, ATOL, f"{circuit.name} outcome {st.id.text}")
         # one-shot composition agrees with the staged run
@@ -443,7 +441,7 @@ def check_circuit_invariants() -> None:
             composed = circuits.composed_unitary(circuit, b)
             staged = circuits.run(circuit, qstate.prepare_setting(full, b)).final
             direct = composed @ circuits.initial_state(circuit).amplitudes
-            assert np.allclose(direct, staged.branches[0].state.amplitudes, atol=ATOL), (
+            assert np.allclose(direct, staged.amplitudes[0], atol=ATOL), (
                 f"{circuit.name}: composition disagrees with the staged run"
             )
         # the xor oracle on the minus state equals the phase oracle

@@ -11,12 +11,21 @@ settings.load_profile("ci")
 
 import oraclelab as ol  # noqa: E402
 from oraclelab import akrule  # noqa: E402
+from oraclelab.qstate import BranchEnsemble  # noqa: E402
 
 
 def clear_caches():
     """Empty akrule's per-problem caches, so the next call builds everything anew."""
     for cache in (akrule._index, akrule._core, akrule._solver, akrule._solved):
         cache.cache_clear()
+
+
+def make_ensemble(layout, settings, rows, weights=None):
+    """An ensemble with one state row per setting; the weights default to uniform."""
+    settings = tuple(settings)
+    if weights is None:
+        weights = [1.0 / len(settings)] * len(settings)
+    return BranchEnsemble(layout, settings, weights, rows)
 
 
 @pytest.fixture(scope="session")

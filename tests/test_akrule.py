@@ -1,6 +1,5 @@
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +31,6 @@ def reference_problem_tables(problem):
 
 
 class TestConfig:
-    def test_only_half_retroaction(self):
-        AkConfig()  # fine
-        AkConfig(retroaction=Fraction(1, 2))
-        for bad in (Fraction(1, 3), Fraction(0), Fraction(1), Fraction(2, 3)):
-            with pytest.raises(ValueError):
-                AkConfig(retroaction=bad)
-
     def test_family_validated(self):
         with pytest.raises(ValueError):
             AkConfig(family="diagonal")

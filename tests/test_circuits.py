@@ -95,7 +95,7 @@ class TestGroverCircuit:
     def test_settings_survive_run(self, grover_circuit):
         full = ol.initial_ensemble(grover_circuit)
         trace = ol.run(grover_circuit, full)
-        assert trace.final.settings() == full.settings()
+        assert trace.final.settings == full.settings
 
     def test_output_register_entropy_is_two_bits(self, grover_circuit):
         trace = ol.run(grover_circuit, ol.initial_ensemble(grover_circuit))
@@ -105,18 +105,37 @@ class TestGroverCircuit:
             assert abs(ol.reduced_entropy(ensemble, "B") - 2.0) <= ATOL
 
 
-def test_one_search_iteration_at_width_four():
-    """One H, oracle, inversion round over all 16 settings of B4/A4/V1 succeeds with sin^2(3 asin 2^-2)."""
+def search_iteration_at_width_four():
+    """The final ensemble of one H, oracle, inversion round over all 16 settings of B4/A4/V1."""
     problem = ol.build_grover(4)
     layout = ol.RegisterLayout((("B", 4), ("A", 4), ("V", 1)), "B")
     stages = (circuits.hadamard("A"), circuits.oracle_xor(problem), circuits.inversion_about_mean("A"))
     circuit = circuits.make_circuit("search-n4", layout, problem, stages)
-    final = ol.run(circuit, ol.initial_ensemble(circuit)).final
+    return ol.run(circuit, ol.initial_ensemble(circuit)).final
+
+
+def test_one_search_iteration_at_width_four():
+    """The round succeeds with sin^2(3 asin 2^-2)."""
+    final = search_iteration_at_width_four()
     dist = ol.measure_register(final, "B", "A")
     success = sum(p for outcome, p in dist.entries if outcome.value >> 4 == outcome.value & 15)
     assert abs(success - np.sin(3 * np.arcsin(2.0**-2)) ** 2) <= 1e-9
     assert abs(sum(p for _, p in dist.entries) - 1.0) <= 1e-12
     assert 0.0 <= ol.reduced_entropy(final, "A") <= 4.0 + 1e-9
+
+
+def test_branch_and_outcome_objects_are_formed_only_when_read():
+    final = search_iteration_at_width_four()
+    dist = ol.measure_register(final, "B", "A")
+    assert dist.probability("00000000") > 0 and len(dist.as_dict()) == len(dist.values)
+    assert 0.0 < ol.shannon_entropy(dist) <= 8.0
+    assert "entries" not in dist.__dict__ and "branches" not in final.__dict__
+    # when read, the views are built with the checked constructors from the stored arrays
+    assert dist.entries == tuple((BitString(v, dist.width), p) for v, p in zip(dist.values, dist.probs))
+    assert [br.setting for br in final.branches] == list(final.settings)
+    assert [br.weight for br in final.branches] == list(final.weights)
+    for k, br in enumerate(final.branches):
+        assert np.array_equal(br.state.amplitudes, final.amplitudes[k])
 
 
 class TestDjCircuit:

@@ -46,6 +46,14 @@ class TestSimulate:
             main(["simulate", "--problem", "grover:n=2"])
         assert exc.value.code == 2
 
+    def test_analysis_flags_are_usage_errors(self, capsys):
+        # simulate runs a fixed circuit: it takes no measurement family or complementarity
+        for flags in (["--family", "cells"], ["--no-complementary"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--problem", "grover:n=2", "--setting", "01", *flags])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_no_builtin_circuit(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--problem", "grover:n=4", "--setting", "0000")
         assert code == 2

@@ -5,18 +5,17 @@ and the oracle's argument register before or after its target, so that an
 axis-order mistake in the kernel shows up as a mismatch.
 """
 
-import dataclasses
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import oraclelab as ol
-from oraclelab import circuits, qstate
+from oraclelab import circuits
 from oraclelab.oracle import OracleProblem, Setting
-from oraclelab.qstate import ATOL, BitString, Branch, BranchEnsemble, PureState, RegisterLayout
+from oraclelab.qstate import ATOL, BitString, PureState, RegisterLayout
 
+from conftest import make_ensemble
 from reference_tables import reference_joint_vector, reference_outcomes, reference_stage_matrix
 
 POSITIONS = ("first", "middle", "last")
@@ -116,11 +115,8 @@ CASES = [
 def random_ensemble(case, seed):
     rng = np.random.default_rng(seed)
     dim = case.layout.state_dim
-    branches = []
-    for b in case.settings:
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        branches.append(Branch(b, 1.0 / len(case.settings), PureState(case.layout.state_only(), vec / np.linalg.norm(vec))))
-    return BranchEnsemble(case.layout, tuple(branches))
+    rows = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in case.settings]
+    return make_ensemble(case.layout, case.settings, [vec / np.linalg.norm(vec) for vec in rows])
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -135,7 +131,7 @@ def test_apply_stage_matches_reference(case):
     ensemble = random_ensemble(case, 0)
     for stage in case.stages:
         out = ol.apply_stage(ensemble, stage)
-        assert out.settings() == ensemble.settings()
+        assert out.settings == ensemble.settings
         for before, after in zip(ensemble.branches, out.branches):
             expected = reference(case, stage, before.setting) @ before.state.amplitudes
             assert np.allclose(after.state.amplitudes, expected, atol=ATOL), stage.label
@@ -214,12 +210,12 @@ def sparse_weighted_ensemble(case, seed):
     if len(weights) > 1:
         weights[0] = 0.0
         weights /= weights.sum()
-    branches = []
-    for b, weight in zip(case.settings, weights):
+    rows = []
+    for _ in case.settings:
         vec = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * (rng.random(dim) < 0.5)
         vec[rng.integers(dim)] = 1.0
-        branches.append(Branch(b, float(weight), PureState(case.layout.state_only(), vec / np.linalg.norm(vec))))
-    return BranchEnsemble(case.layout, tuple(branches))
+        rows.append(vec / np.linalg.norm(vec))
+    return make_ensemble(case.layout, case.settings, rows, weights)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -238,84 +234,63 @@ def test_readouts_match_reference_with_weights_and_zero_cells(case):
 
 
 class TestOutcomeDistribution:
-    ENTRIES = ((BitString(3, 2), 0.5), (BitString(0, 2), 0.25), (BitString(2, 2), 0.25))
+    VALUES, PROBS = (3, 0, 2), (0.5, 0.25, 0.25)
+    # bad inputs, each with the BitString or distribution message it raises
+    MESSAGES = {
+        ((1, 1), (0.5, 0.5)): "outcomes must be distinct",
+        ((0, 4), (0.5, 0.5)): "value 4 does not fit in 2 bits",
+        ((-1, 0), (0.5, 0.5)): "value -1 does not fit in 2 bits",
+        ((0, 1), (1.5, -0.5)): "probability 1.5 for outcome 00 is out of range",
+        ((0, 1), (0.5, 0.25)): "probabilities sum to 0.75, not 1",
+    }
 
     def test_input_order_is_normalized(self):
-        dist = ol.OutcomeDistribution(self.ENTRIES)
-        assert [o.value for o, _ in dist.entries] == [0, 2, 3]
-        assert dist == ol.OutcomeDistribution(self.ENTRIES[::-1])
+        dist = ol.OutcomeDistribution(self.VALUES, self.PROBS, 2)
+        assert dist.values == (0, 2, 3) and dist.probs == (0.25, 0.25, 0.5)
+        assert dist == ol.OutcomeDistribution(self.VALUES[::-1], self.PROBS[::-1], 2)
 
     def test_probability_lookup(self):
-        dist = ol.OutcomeDistribution(self.ENTRIES)
+        dist = ol.OutcomeDistribution(self.VALUES, self.PROBS, 2)
         assert dist.probability("11") == 0.5 and dist.probability(BitString(0, 2)) == 0.25
         assert dist.probability("01") == 0.0
         assert dist.probability("011") == 0.0  # same value, other width
-        assert ol.OutcomeDistribution(((BitString(1, 1), 1.0),)).probability("0") == 0.0
+        assert ol.OutcomeDistribution([1], [1.0], 1).probability("0") == 0.0
 
     @pytest.mark.parametrize("p", [-0.25, 1.25, float("nan")])
     def test_out_of_range_probability_raises(self, p):
-        entries = ((BitString(0, 2), p), (BitString(1, 2), 1.0 - p))
         with pytest.raises(ValueError, match="out of range|sum"):
-            ol.OutcomeDistribution(entries)
+            ol.OutcomeDistribution([0, 1], [p, 1.0 - p], 2)
 
     def test_out_of_range_probability_message(self):
-        entries = ((BitString(1, 3), 1.5), (BitString(0, 3), -0.5))
         with pytest.raises(ValueError, match=r"probability -0.5 for outcome 000 is out of range"):
-            ol.OutcomeDistribution(entries)
+            ol.OutcomeDistribution([1, 0], [1.5, -0.5], 3)
 
     def test_duplicates_and_sum_raise(self):
         with pytest.raises(ValueError, match="distinct"):
-            ol.OutcomeDistribution(((BitString(1, 2), 0.5), (BitString(1, 2), 0.5)))
+            ol.OutcomeDistribution([1, 1], [0.5, 0.5], 2)
         with pytest.raises(ValueError, match="sum"):
-            ol.OutcomeDistribution(((BitString(1, 2), 0.5),))
+            ol.OutcomeDistribution([1], [0.5], 2)
         with pytest.raises(ValueError, match="sum"):
-            ol.OutcomeDistribution(())
+            ol.OutcomeDistribution([], [], 2)
+        with pytest.raises(ValueError, match="1 probabilities for 2 outcomes"):
+            ol.OutcomeDistribution([0, 1], [1.0], 2)
 
-    @pytest.mark.parametrize(
-        "values, probs, width",
-        [
-            ([1, 1], [0.5, 0.5], 2),
-            ([0, 4], [0.5, 0.5], 2),
-            ([-1, 0], [0.5, 0.5], 2),
-            ([0, 1], [1.5, -0.5], 2),
-            ([0, 1], [0.5, 0.25], 2),
-        ],
-    )
+    @pytest.mark.parametrize("values, probs, width", [(list(v), list(p), 2) for v, p in MESSAGES])
     def test_array_route_shares_the_checks_and_messages(self, values, probs, width):
-        """The measure_register route raises what a caller-built distribution raises."""
-        with pytest.raises(ValueError) as from_arrays:
-            ol.OutcomeDistribution._from_arrays(np.array(values), np.array(probs), width)
-        with pytest.raises(ValueError) as from_entries:
-            entries = tuple((BitString(v, width), p) for v, p in zip(values, probs))
-            ol.OutcomeDistribution(entries)
-        assert str(from_arrays.value) == str(from_entries.value)
+        """The one constructor, which measure_register also calls, raises the exact message."""
+        with pytest.raises(ValueError) as raised:
+            ol.OutcomeDistribution(values, probs, width)
+        assert str(raised.value) == self.MESSAGES[tuple(values), tuple(probs)]
 
     def test_array_route_equals_the_constructor(self):
         case = make_case(0, "middle", True)
         dist = ol.measure_register(random_ensemble(case, 1), *case.layout.names[::-1])
-        assert ol.OutcomeDistribution(dist.entries[::-1]) == dist
-        assert ol.OutcomeDistribution(dist.entries).entries == dist.entries
+        assert ol.OutcomeDistribution(dist.values[::-1], dist.probs[::-1], dist.width) == dist
+        width = dist.width
+        assert dist.entries == tuple((BitString(v, width), p) for v, p in zip(dist.values, dist.probs))
 
 
 class TestBitStringFastPath:
-    def test_fast_and_checked_objects_behave_alike(self):
-        values = [5, 0, 3, 7]
-        fast = qstate._unchecked_bits(values, 3)
-        checked = [BitString(v, 3) for v in values]
-        assert fast == checked
-        assert [hash(b) for b in fast] == [hash(b) for b in checked]
-        assert sorted(fast) == sorted(checked) and [b.value for b in sorted(fast)] == [0, 3, 5, 7]
-        assert fast[0] < checked[3] and checked[1] < fast[2]
-        assert [repr(b) for b in fast] == [repr(b) for b in checked]
-        assert pickle.loads(pickle.dumps(fast)) == checked
-        assert {*fast} == {*checked}
-
-    def test_slots_and_frozen(self):
-        b = qstate._unchecked_bits([2], 2)[0]
-        assert not hasattr(b, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            b.value = 1
-
     @pytest.mark.parametrize("value, width", [(4, 2), (-1, 3), (0, 0), (1 << 24, 24)])
     def test_constructor_still_rejects_out_of_range(self, value, width):
         with pytest.raises(ValueError):
@@ -364,7 +339,7 @@ def bits(text):
 
 
 def single(layout, setting):
-    return BranchEnsemble(layout, (Branch(setting, 1.0, PureState.basis(layout, {})),))
+    return make_ensemble(layout, [setting], [PureState.basis(layout, {}).amplitudes])
 
 
 class TestKernelErrors:

@@ -10,12 +10,13 @@ from oraclelab import circuits
 from oraclelab.qstate import (
     ATOL,
     BitString,
-    Branch,
     BranchEnsemble,
     OutcomeDistribution,
     PureState,
     RegisterLayout,
 )
+
+from conftest import make_ensemble
 
 
 def ba_layout(b=2, a=2):
@@ -114,25 +115,54 @@ class TestPureState:
 
 
 class TestBranchEnsemble:
+    ROWS = np.eye(4)[[0, 1]]
+
     def test_weights_must_sum_to_one(self):
-        layout = ba_layout()
-        state = PureState.basis(layout, {"A": 0})
-        with pytest.raises(ValueError):
-            BranchEnsemble(layout, (Branch(BitString(0, 2), 0.5, state),))
+        with pytest.raises(ValueError, match="sum to 0.5"):
+            BranchEnsemble(ba_layout(), (BitString(0, 2),), (0.5,), self.ROWS[:1])
 
     def test_duplicate_settings_rejected(self):
-        layout = ba_layout()
-        state = PureState.basis(layout, {"A": 0})
-        branches = (Branch(BitString(1, 2), 0.5, state), Branch(BitString(1, 2), 0.5, state))
-        with pytest.raises(ValueError):
-            BranchEnsemble(layout, branches)
+        with pytest.raises(ValueError, match="duplicate setting 01"):
+            BranchEnsemble(ba_layout(), (BitString(1, 2), BitString(1, 2)), (0.5, 0.5), self.ROWS)
 
     def test_branches_sorted_canonically(self):
-        layout = ba_layout()
-        state = PureState.basis(layout, {"A": 0})
-        branches = (Branch(BitString(2, 2), 0.5, state), Branch(BitString(0, 2), 0.5, state))
-        ensemble = BranchEnsemble(layout, branches)
+        ensemble = BranchEnsemble(ba_layout(), (BitString(2, 2), BitString(0, 2)), (0.75, 0.25), self.ROWS)
+        assert [b.value for b in ensemble.settings] == [0, 2]
+        assert ensemble.weights == (0.25, 0.75)
+        assert np.array_equal(ensemble.amplitudes, np.eye(4)[[1, 0]])
         assert [b.setting.value for b in ensemble.branches] == [0, 2]
+
+    def test_weights_length_must_match(self):
+        with pytest.raises(ValueError, match="1 weights for 2 branches"):
+            BranchEnsemble(ba_layout(), (BitString(0, 2), BitString(1, 2)), (1.0,), self.ROWS)
+
+    def test_amplitude_shape_must_match(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 8\), expected \(2, 4\)"):
+            BranchEnsemble(ba_layout(), (BitString(0, 2), BitString(1, 2)), (0.5, 0.5), np.eye(8)[:2])
+
+    def test_row_norm_must_be_one(self):
+        rows = np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0]])
+        with pytest.raises(ValueError, match="state norm .* is not 1"):
+            BranchEnsemble(ba_layout(), (BitString(0, 2), BitString(1, 2)), (0.5, 0.5), rows)
+
+    def test_other_checks_keep_their_messages(self):
+        layout, rows = ba_layout(), self.ROWS[:1]
+        with pytest.raises(ValueError, match="must designate a setting register"):
+            BranchEnsemble(RegisterLayout((("B", 2), ("A", 2))), (BitString(0, 2),), (1.0,), rows)
+        with pytest.raises(ValueError, match="at least one branch"):
+            BranchEnsemble(layout, (), (), np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="setting 001 has width 3, register has 2"):
+            BranchEnsemble(layout, (BitString(1, 3),), (1.0,), rows)
+        with pytest.raises(ValueError, match="negative branch weight -0.5"):
+            BranchEnsemble(layout, (BitString(0, 2), BitString(1, 2)), (1.5, -0.5), self.ROWS)
+
+    def test_amplitudes_are_read_only_and_owned(self):
+        rows = self.ROWS.astype(np.complex128)
+        ensemble = BranchEnsemble(ba_layout(), (BitString(0, 2), BitString(1, 2)), (0.5, 0.5), rows)
+        rows[0, 0] = 0.0
+        assert ensemble.amplitudes[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ensemble.amplitudes[0, 0] = 0.0
 
 
 class TestApplyStage:
@@ -155,8 +185,7 @@ class TestApplyStage:
 
     def test_phase_oracle_flips_matching_argument(self, grover2):
         layout = ba_layout()
-        uniform = PureState(layout.state_only(), np.full(4, 0.5))
-        ensemble = BranchEnsemble(layout, (Branch(BitString.from_text("01"), 1.0, uniform),))
+        ensemble = make_ensemble(layout, [BitString.from_text("01")], [np.full(4, 0.5)])
         out = ol.apply_stage(ensemble, circuits.oracle_phase(grover2))
         assert np.allclose(out.branches[0].state.amplitudes, [0.5, -0.5, 0.5, 0.5])
 
@@ -182,15 +211,13 @@ class TestApplyStage:
 
     def test_bitwise_not_relabels_branches(self):
         layout = ba_layout()
-        state = PureState.basis(layout, {"A": 0})
-        ensemble = BranchEnsemble(layout, (Branch(BitString.from_text("10"), 1.0, state),))
+        ensemble = make_ensemble(layout, [BitString.from_text("10")], [PureState.basis(layout, {"A": 0}).amplitudes])
         out = ol.apply_stage(ensemble, circuits.bitwise_not("B"))
         assert out.branches[0].setting.text == "01"
 
     def test_bitwise_not_on_state_register_is_x_on_every_bit(self):
         layout = ba_layout()
-        state = PureState.basis(layout, {"A": 0})
-        ensemble = BranchEnsemble(layout, (Branch(BitString(0, 2), 1.0, state),))
+        ensemble = make_ensemble(layout, [BitString(0, 2)], [PureState.basis(layout, {"A": 0}).amplitudes])
         out = ol.apply_stage(ensemble, circuits.bitwise_not("A"))
         assert np.allclose(out.branches[0].state.amplitudes, [0, 0, 0, 1])
 
@@ -218,15 +245,20 @@ class TestPreparationAndProjection:
 
     def test_prepare_setting_single_branch_unchanged(self):
         layout = ba_layout()
-        state = PureState.basis(layout, {"A": 0})
-        single = BranchEnsemble(layout, (Branch(BitString(2, 2), 1.0, state),))
+        single = make_ensemble(layout, [BitString(2, 2)], [PureState.basis(layout, {"A": 0}).amplitudes])
         assert ol.ensembles_close(ol.prepare_setting(single, BitString(2, 2)), single)
+
+    def test_prepare_setting_on_a_zero_weight_branch(self):
+        # the measured outcome is the branch, whatever weight the mixture gave it
+        layout = ba_layout()
+        ensemble = make_ensemble(layout, [BitString(0, 2), BitString(1, 2)], np.eye(4)[[0, 3]], [1.0, 0.0])
+        out = ol.prepare_setting(ensemble, BitString(1, 2))
+        assert out.settings == (BitString(1, 2),) and out.weights == (1.0,)
+        assert np.array_equal(out.amplitudes, [[0, 0, 0, 1]])
 
     def test_prepare_setting_unknown_outcome(self):
         layout = ba_layout()
-        single = BranchEnsemble(
-            layout, (Branch(BitString(2, 2), 1.0, PureState.basis(layout, {"A": 0})),)
-        )
+        single = make_ensemble(layout, [BitString(2, 2)], [PureState.basis(layout, {"A": 0}).amplitudes])
         with pytest.raises(ValueError):
             ol.prepare_setting(single, BitString(1, 2))
 
@@ -240,7 +272,7 @@ class TestPreparationAndProjection:
         assert [b.setting.text for b in out.branches] == ["01", "11"]
         assert all(abs(b.weight - 0.5) <= ATOL for b in out.branches)
         # projecting onto everything changes nothing
-        full = ol.project_setting_subset(ensemble, ensemble.settings())
+        full = ol.project_setting_subset(ensemble, ensemble.settings)
         assert ol.ensembles_close(full, ensemble)
         # singleton projection is deterministic
         one = ol.project_setting_subset(ensemble, [BitString.from_text("01")])
@@ -248,9 +280,7 @@ class TestPreparationAndProjection:
 
     def test_project_empty_intersection(self):
         layout = ba_layout()
-        single = BranchEnsemble(
-            layout, (Branch(BitString(2, 2), 1.0, PureState.basis(layout, {"A": 0})),)
-        )
+        single = make_ensemble(layout, [BitString(2, 2)], [PureState.basis(layout, {"A": 0}).amplitudes])
         with pytest.raises(ValueError):
             ol.project_setting_subset(single, [BitString(1, 2)])
 
@@ -258,9 +288,7 @@ class TestPreparationAndProjection:
 class TestMeasurement:
     def test_sharp_state(self):
         layout = ba_layout()
-        single = BranchEnsemble(
-            layout, (Branch(BitString(0, 2), 1.0, PureState.basis(layout, {"A": 1})),)
-        )
+        single = make_ensemble(layout, [BitString(0, 2)], [PureState.basis(layout, {"A": 1}).amplitudes])
         dist = ol.measure_register(single, "A")
         assert dist.as_dict() == {"01": 1.0}
 
@@ -280,9 +308,7 @@ class TestMeasurement:
 
     def test_unknown_register(self):
         layout = ba_layout()
-        single = BranchEnsemble(
-            layout, (Branch(BitString(0, 2), 1.0, PureState.basis(layout, {"A": 0})),)
-        )
+        single = make_ensemble(layout, [BitString(0, 2)], [PureState.basis(layout, {"A": 0}).amplitudes])
         with pytest.raises(ValueError):
             ol.measure_register(single, "Q")
 
@@ -291,17 +317,12 @@ class TestEntropies:
     def test_correlated_output_has_full_register_entropy(self):
         # four branches, each leaving its own basis label in A
         layout = ba_layout()
-        branches = tuple(
-            Branch(BitString(v, 2), 0.25, PureState.basis(layout, {"A": v})) for v in range(4)
-        )
-        ensemble = BranchEnsemble(layout, branches)
+        ensemble = make_ensemble(layout, [BitString(v, 2) for v in range(4)], np.eye(4))
         assert abs(ol.reduced_entropy(ensemble, "A") - 2.0) <= ATOL
 
     def test_sharp_product_state_has_zero_entropy(self):
         layout = bav_layout()
-        single = BranchEnsemble(
-            layout, (Branch(BitString(0, 2), 1.0, PureState.basis(layout, {"A": 2, "V": 1})),)
-        )
+        single = make_ensemble(layout, [BitString(0, 2)], [PureState.basis(layout, {"A": 2, "V": 1}).amplitudes])
         assert ol.reduced_entropy(single, "A") == 0.0
         assert ol.reduced_entropy(single, "V") == 0.0
 
@@ -311,25 +332,15 @@ class TestEntropies:
 
     def test_setting_register_entropy_is_weight_entropy(self):
         layout = ba_layout()
-        state = PureState.basis(layout, {"A": 0})
-        branches = (
-            Branch(BitString(0, 2), 0.5, state),
-            Branch(BitString(1, 2), 0.25, state),
-            Branch(BitString(2, 2), 0.25, state),
-        )
-        ensemble = BranchEnsemble(layout, branches)
+        ensemble = make_ensemble(layout, [BitString(v, 2) for v in range(3)], np.eye(4)[[0, 0, 0]], [0.5, 0.25, 0.25])
         assert abs(ol.reduced_entropy(ensemble, "B") - 1.5) <= ATOL
 
     def test_shannon_closed_forms(self):
-        uniform4 = OutcomeDistribution(
-            tuple((BitString(v, 2), 0.25) for v in range(4))
-        )
+        uniform4 = OutcomeDistribution(range(4), [0.25] * 4, 2)
         assert abs(ol.shannon_entropy(uniform4) - 2.0) <= ATOL
-        point = OutcomeDistribution(((BitString(1, 2), 1.0),))
+        point = OutcomeDistribution([1], [1.0], 2)
         assert ol.shannon_entropy(point) == 0.0
-        thirds = OutcomeDistribution(
-            tuple((BitString(v, 2), 1.0 / 3.0) for v in range(3))
-        )
+        thirds = OutcomeDistribution(range(3), [1.0 / 3.0] * 3, 2)
         assert abs(ol.shannon_entropy(thirds) - math.log2(3)) <= 1e-12
 
     def test_entropy_matches_shannon_for_basis_branches(self):
@@ -340,15 +351,8 @@ class TestEntropies:
             settings = rng.choice(4, size=count, replace=False)
             weights = rng.random(count) + 0.05
             weights /= weights.sum()
-            branches = tuple(
-                Branch(
-                    BitString(int(s), 2),
-                    float(w),
-                    PureState.basis(layout, {"A": int(rng.integers(4))}),
-                )
-                for s, w in zip(settings, weights)
-            )
-            ensemble = BranchEnsemble(layout, branches)
+            rows = [PureState.basis(layout, {"A": int(rng.integers(4))}).amplitudes for _ in settings]
+            ensemble = make_ensemble(layout, [BitString(int(s), 2) for s in settings], rows, weights)
             dist = ol.measure_register(ensemble, "A")
             assert abs(ol.reduced_entropy(ensemble, "A") - ol.shannon_entropy(dist)) <= ATOL
 
@@ -356,19 +360,16 @@ class TestEntropies:
 class TestOutcomeDistribution:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            OutcomeDistribution(((BitString(0, 1), 0.5),))
+            OutcomeDistribution([0], [0.5], 1)
 
     def test_outcomes_distinct(self):
         with pytest.raises(ValueError):
-            OutcomeDistribution(((BitString(0, 1), 0.5), (BitString(0, 1), 0.5)))
+            OutcomeDistribution([0, 0], [0.5, 0.5], 1)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=8))
     def test_shannon_entropy_bounds(self, raws):
         total = sum(raws)
-        entries = tuple(
-            (BitString(i, 4), raw / total) for i, raw in enumerate(raws)
-        )
-        dist = OutcomeDistribution(entries)
+        dist = OutcomeDistribution(range(len(raws)), [raw / total for raw in raws], 4)
         entropy = ol.shannon_entropy(dist)
         assert -1e-12 <= entropy <= math.log2(len(raws)) + 1e-9
 
@@ -376,11 +377,7 @@ class TestOutcomeDistribution:
 class TestPhaseSampling:
     def test_density_matrix_blocks(self):
         layout = ba_layout(b=1, a=1)
-        branches = (
-            Branch(BitString(0, 1), 0.5, PureState.basis(layout, {"A": 0})),
-            Branch(BitString(1, 1), 0.5, PureState.basis(layout, {"A": 1})),
-        )
-        rho = ol.density_matrix(BranchEnsemble(layout, branches))
+        rho = ol.density_matrix(make_ensemble(layout, [BitString(0, 1), BitString(1, 1)], np.eye(2)))
         expected = np.zeros((4, 4))
         expected[0, 0] = 0.5  # B=0, A=0
         expected[3, 3] = 0.5  # B=1, A=1
