@@ -282,6 +282,10 @@ class _Index:
     each as ``_partition`` returns it.  ``cells[q]`` is argument q's partition
     in that per-position form, the cells family's atom; ``arg_groups[q]``
     holds the same blocks once each, for the walks over an argument's values.
+    The index owns every other view of the problem: one core per family, the
+    solver, the solved ensemble and the block facts both families read.  The
+    views are plain attributes: a ``cached_property`` writes through
+    ``__dict__``, which slows every later attribute read on the instance.
     """
 
     def __init__(self, problem: OracleProblem):
@@ -296,6 +300,12 @@ class _Index:
         self.cells = tuple(_partition(st.table[q].value for st in settings) for q in range(1 << problem.arg_bits))
         self.arg_groups = tuple(tuple(dict.fromkeys(blocks)) for blocks in self.cells)
         self.full_entropy = _entropy(self.counts(self.full))
+        self._cores: dict[str, _Core] = {}
+        self._facts: dict[int, tuple[bool, int]] = {}
+        self._key_of_counts: dict[tuple[int, ...], int] = {}
+        self._key_ids: dict[tuple, int] = {}
+        self._solved: tuple[BranchEnsemble, float] | None = None
+        self.solver = _TreeSolver(self)
 
     def mask_of(self, settings: Iterable[BitString]) -> int:
         """The mask of a nonempty set of settings, each checked to be one of the problem's."""
@@ -331,10 +341,40 @@ class _Index:
         """The entropy drop of knowing the setting lies in the mask, as a float."""
         return self.full_entropy - _entropy(self.counts(mask))
 
+    def facts(self, mask: int) -> tuple[bool, int]:
+        """Whether the block leaves the answer undetermined, and its interned entropy key."""
+        fact = self._facts.get(mask)
+        if fact is None:
+            counts = self.counts(mask)
+            key = self._key_of_counts.get(counts)
+            if key is None:
+                key = self._key_ids.setdefault(_entropy_key(counts), len(self._key_ids))
+                self._key_of_counts[counts] = key
+            fact = self._facts[mask] = (not self.constant(mask), key)
+        return fact
 
-@functools.lru_cache(maxsize=16)
+    def core(self, family: str) -> _Core:
+        """The family's partition core, built on first use."""
+        if family not in self._cores:
+            self._cores[family] = _Core(self, family)
+        return self._cores[family]
+
+    @property
+    def solved(self) -> tuple[BranchEnsemble, float]:
+        """The problem's output ensemble and its register-A entropy, built on first use."""
+        if self._solved is None:
+            out = output_ensemble(self.problem)
+            self._solved = out, reduced_entropy(out, "A")
+        return self._solved
+
+
 def _index(problem: OracleProblem) -> _Index:
-    return _Index(problem)
+    """The problem's index, built on first use and kept on the problem object itself."""
+    index = getattr(problem, "_index", None)
+    if index is None:
+        index = _Index(problem)
+        object.__setattr__(problem, "_index", index)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +391,11 @@ class _Core:
     atoms.  ``column(i)`` forms every block at position i when a call scans it.
     """
 
-    def __init__(self, problem: OracleProblem, family: str):
+    def __init__(self, index: _Index, family: str):
+        self.index = index
         self.family = family
         if family == "cells":
-            positions = 1 << problem.arg_bits
+            positions = 1 << index.problem.arg_bits
             if positions > MAX_CELLS_POSITIONS:
                 raise ValueError(
                     f"cells enumeration supports tables of up to {MAX_CELLS_POSITIONS} "
@@ -362,7 +403,7 @@ class _Core:
                 )
             keys = [c for size in range(positions + 1) for c in itertools.combinations(range(positions), size)]
         elif family == "linear":
-            self.width = problem.setting_width
+            self.width = index.problem.setting_width
             if self.width > MAX_LINEAR_WIDTH:
                 raise ValueError(
                     f"linear enumeration supports setting widths up to {MAX_LINEAR_WIDTH}, "
@@ -372,7 +413,6 @@ class _Core:
             self.spans = tuple(_span_bits(basis) for basis in keys)
         else:
             raise ValueError(f"unknown measurement family {family!r}")
-        self.index = index = _index(problem)
         self.keys = tuple(keys)
         spec_of = {key: s for s, key in enumerate(keys)}
         where = {x: a for a, x in enumerate(sorted({key[-1] for key in keys[1:]}))}
@@ -383,9 +423,6 @@ class _Core:
         self.recipe = tuple((spec_of[key[:-1]], where[key[-1]]) for key in keys[1:])
         self._columns: dict[int, tuple[int, ...]] = {}
         self._specs: dict[int, MeasurementSpec] = {}
-        self._facts: dict[int, tuple[bool, int]] = {}
-        self._key_of_counts: dict[tuple[int, ...], int] = {}
-        self._key_ids: dict[tuple, int] = {}
 
     def column(self, i: int) -> tuple[int, ...]:
         """Entry s: spec s's block at position i, its parent's cut by its atom's; built once."""
@@ -404,19 +441,6 @@ class _Core:
                               else MeasurementSpec("linear", masks=tuple(BitString(v, self.width) for v in key)))
         return self._specs[s]
 
-    def facts(self, mask: int) -> tuple[bool, int]:
-        """Whether the block leaves the answer undetermined, and its interned entropy key."""
-        fact = self._facts.get(mask)
-        if fact is None:
-            counts = self.index.counts(mask)
-            key = self._key_of_counts.get(counts)
-            if key is None:
-                key = self._key_ids.setdefault(_entropy_key(counts), len(self._key_ids))
-                self._key_of_counts[counts] = key
-            first = (mask & -mask).bit_length() - 1
-            fact = self._facts[mask] = (mask & ~self.index.solution[first] != 0, key)
-        return fact
-
     def partners(self, i: int, complementary: bool) -> Callable[[int], Iterator[int]]:
         """The pair predicate at setting position i, as each spec's partner generator.
 
@@ -427,7 +451,7 @@ class _Core:
         The relation is symmetric, so t partners s exactly when s partners t.
         """
         bit = 1 << i
-        column, facts = self.column(i), self.facts
+        column, facts = self.column(i), self.index.facts
         direct_sum = complementary and self.family == "linear"
         if complementary and self.family == "cells":
             # cells keys of one size ascend lexicographically and complementing
@@ -472,14 +496,9 @@ class _Core:
         return min(s, t), max(s, t)
 
 
-@functools.lru_cache(maxsize=16)
-def _core(problem: OracleProblem, family: str) -> _Core:
-    return _Core(problem, family)
-
-
 def _resolve(problem: OracleProblem, config: AkConfig | None) -> tuple[AkConfig, _Core]:
     config = config or AkConfig()
-    return config, _core(problem, config.family or problem.default_family)
+    return config, _index(problem).core(config.family or problem.default_family)
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +536,9 @@ def delta_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
     return index.epsilon(index.mask_of(subset))
 
 
-@functools.lru_cache(maxsize=16)
-def _solved(problem: OracleProblem) -> tuple[BranchEnsemble, float]:
-    """The problem's output ensemble and its register-A entropy, built once."""
-    out = output_ensemble(problem)
-    return out, reduced_entropy(out, "A")
-
-
 def delta_entropy_via_states(problem: OracleProblem, subset: Iterable[BitString]) -> float:
     """The same entropy drop via reduced density operators of projected output states."""
-    out, whole = _solved(problem)
+    out, whole = _index(problem).solved
     return whole - reduced_entropy(project_setting_subset(out, subset), "A")
 
 
@@ -626,8 +638,8 @@ class _TreeSolver:
     the blocks of its single-cell readout.
     """
 
-    def __init__(self, problem: OracleProblem):
-        self.index = index = _index(problem)
+    def __init__(self, index: _Index):
+        self.index = index
         self.args = tuple(range(len(index.arg_groups)))
         self.solution_masks = tuple(dict.fromkeys(index.solution))
         # the table classes holding settings with different answers
@@ -732,21 +744,16 @@ class _TreeSolver:
         return [self._cost(m, self.args) for m in masks]
 
 
-@functools.lru_cache(maxsize=16)
-def _solver(problem: OracleProblem) -> _TreeSolver:
-    return _TreeSolver(problem)
-
-
 def decision_tree_cost(problem: OracleProblem, candidates: Iterable[BitString]) -> int:
     """Minimum worst-case adaptive queries to pin down the answer on the set.
 
     Cost is zero when the answer is constant; otherwise one plus the minimum
     over splitting arguments of the maximum branch cost, against an adversary
     choosing the observed value.  One solver, and so one memo table, serves
-    every call on the same problem.
+    every call on the same problem object.
     """
-    solver = _solver(problem)
-    return solver.cost(solver.index.mask_of(candidates))
+    index = _index(problem)
+    return index.solver.cost(index.mask_of(candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +809,8 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
     the copy is exact to the last bit.
     """
     config, core = _resolve(problem, config)
-    solver, index = _solver(problem), core.index
-    baseline = solver.cost(index.full)
+    index = core.index
+    baseline = index.solver.cost(index.full)
     shifts = _translations(index)
 
     reports: list[SettingReport] = []
@@ -816,14 +823,14 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
         instances = _instances(core, i, config.complementary)
         counts: dict[int, tuple[int, ...]] = {}
         for mask in instances:
-            key, mine = core.facts(mask)[1], index.counts(mask)
+            key, mine = index.facts(mask)[1], index.counts(mask)
             counts[key] = min(counts.get(key, mine), mine)
         reports.append(
             SettingReport(
                 b_star,
                 tuple(sorted(index.full_entropy - _entropy(c) for c in counts.values())),
                 tuple(sorted(Counter(mask.bit_count() for mask in instances).items())),
-                tuple(sorted(Counter(solver.costs(instances)).items())),
+                tuple(sorted(Counter(index.solver.costs(instances)).items())),
                 not instances,
             )
         )

@@ -24,6 +24,7 @@ from .qstate import (
     RegisterLayout,
     apply_stage,
     measure_register,
+    prepare_setting,
 )
 
 ORACLE_KINDS = ("oracle_xor", "oracle_phase")
@@ -193,20 +194,19 @@ class Circuit:
     layout: RegisterLayout
     problem: OracleProblem
     stages: tuple[Stage, ...]
-    query_indices: tuple[int, ...]
     v_register: str | None = "V"
 
     def __post_init__(self) -> None:
         if self.layout.setting_register is None:
             raise ValueError("circuit layout must designate the setting register")
-        expected = tuple(i for i, st in enumerate(self.stages) if st.kind in ORACLE_KINDS)
-        if self.query_indices != expected:
-            raise ValueError(
-                f"query indices {self.query_indices} do not match the oracle stages {expected}"
-            )
         if self.v_register is not None and self.v_register in self.layout.names:
             if self.layout.width(self.v_register) != 1:
                 raise ValueError("the minus-state register must be one bit wide")
+
+    @functools.cached_property
+    def query_indices(self) -> tuple[int, ...]:
+        """Positions of the oracle stages."""
+        return tuple(i for i, st in enumerate(self.stages) if st.kind in ORACLE_KINDS)
 
 
 def make_circuit(
@@ -217,8 +217,7 @@ def make_circuit(
     v_register: str | None = "V",
 ) -> Circuit:
     stages = tuple(stages)
-    query_indices = tuple(i for i, st in enumerate(stages) if st.kind in ORACLE_KINDS)
-    return Circuit(name, layout, problem, stages, query_indices, v_register)
+    return Circuit(name, layout, problem, stages, v_register)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,8 +245,12 @@ def initial_state(circuit: Circuit) -> PureState:
 
 
 def initial_ensemble(circuit: Circuit) -> BranchEnsemble:
-    """Uniform mixture over the problem's settings, solver registers cleared."""
-    return BranchEnsemble.uniform(circuit.layout, circuit.problem.setting_ids(), initial_state(circuit))
+    """Uniform mixture over the problem's settings, solver registers cleared; built once per circuit."""
+    ensemble = getattr(circuit, "_initial", None)
+    if ensemble is None:
+        ensemble = BranchEnsemble.uniform(circuit.layout, circuit.problem.setting_ids(), initial_state(circuit))
+        object.__setattr__(circuit, "_initial", ensemble)
+    return ensemble
 
 
 def run(circuit: Circuit, ensemble: BranchEnsemble) -> StageTrace:
@@ -327,7 +330,7 @@ def derive_a_outcome(circuit: Circuit, problem: OracleProblem, b: BitString) -> 
     for this problem.
     """
     problem.setting(b)
-    branch = BranchEnsemble.uniform(circuit.layout, (b,), initial_state(circuit))
+    branch = prepare_setting(initial_ensemble(circuit), b)
     dist = measure_register(run(circuit, branch).final, "A")
     p = max(dist.probs)
     if abs(p - 1.0) > ATOL:

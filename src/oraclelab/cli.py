@@ -17,10 +17,6 @@ from . import akrule, circuits, histories, oracle, qstate, verification
 from .qstate import BitString
 
 
-def _load(selector: str) -> oracle.OracleProblem:
-    return oracle.parse_selector(selector)
-
-
 def _setting(problem: oracle.OracleProblem, text: str) -> BitString:
     bits = BitString.from_text(text)
     if bits.width != problem.setting_width:
@@ -80,7 +76,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ak(args) -> int:
-    problem = _load(args.problem)
+    problem = oracle.parse_selector(args.problem)
     setting = _setting(problem, args.setting)
     config = _config(args)
     pairs = akrule.enumerate_occam_pairs(problem, setting, config)
@@ -130,7 +126,7 @@ def _cmd_ak(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    problem = _load(args.problem)
+    problem = oracle.parse_selector(args.problem)
     report = akrule.predict_queries(problem, _config(args))
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))

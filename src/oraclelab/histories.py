@@ -17,7 +17,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .akrule import AkInstance, _solver
+from .akrule import AkInstance, _index
 from .circuits import Circuit
 from .oracle import OracleProblem, evaluate
 from .qstate import BitString
@@ -124,8 +124,8 @@ def _optimal_transcript(
     Candidate sets are the problem index's bitmasks, and a query's groups
     are its argument's blocks.
     """
-    solver = _solver(problem)
-    index = solver.index
+    index = _index(problem)
+    solver = index.solver
     candidates = index.mask_of(subset)
     true_bit = index.mask_of((true_setting,))
     for a in queries:

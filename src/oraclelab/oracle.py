@@ -94,34 +94,9 @@ class OracleProblem:
             raise ValueError(f"outcome blocks must have equal sizes, got sizes {detail}")
         object.__setattr__(self, "_lookup", {st.id.value: st for st in ordered})
 
-    def _data(self) -> tuple:
-        # the problem as ints and strs, with its hash, built once, on first use,
-        # so caches keyed on the problem neither rehash nor compare BitStrings;
-        # every width is fixed by the problem, so a table packs into one int
-        if "_plain" not in self.__dict__:
-            first = self.settings[0]
-            rows = tuple(
-                (st.id.value, st.solution, st.a_outcome.value,
-                 sum(e.value << (k * self.out_bits) for k, e in enumerate(st.table)))
-                for st in self.settings
-            )
-            data = (self.name, self.arg_bits, self.out_bits, self.default_family,
-                    first.id.width, first.a_outcome.width, rows)
-            object.__setattr__(self, "_plain", data)
-            object.__setattr__(self, "_hash", hash(data))
-        return self._plain
-
-    def __hash__(self) -> int:
-        self._data()
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or self._data() == other._data()
-
     def __reduce__(self):
-        # rebuild through __init__, so the hash is recomputed in the new process
+        # rebuild through __init__, so pickles and copies carry the fields but
+        # none of the views cached on this object
         return type(self), (self.name, self.arg_bits, self.out_bits, self.settings, self.default_family)
 
     @property

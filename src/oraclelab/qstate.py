@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class BitString:
     @property
     def text(self) -> str:
         return format(self.value, f"0{self.width}b")
-
-    def bit(self, position: int) -> int:
-        """Bit at a text position, 0 being the leftmost."""
-        if not 0 <= position < self.width:
-            raise IndexError(f"bit position {position} out of range for width {self.width}")
-        return (self.value >> (self.width - 1 - position)) & 1
 
     def __invert__(self) -> "BitString":
         return BitString(self.value ^ ((1 << self.width) - 1), self.width)
@@ -144,21 +138,11 @@ class RegisterLayout:
             return self
         return RegisterLayout(self.state_registers, None)
 
-    def _state_shift(self, name: str) -> tuple[int, int]:
-        shift = 0
-        found = None
-        for n, w in reversed(self.state_registers):
-            if n == name:
-                found = (shift, w)
-            shift += w
-        if found is None:
-            raise ValueError(f"unknown state register {name!r}")
-        return found
-
     def extract(self, name: str, index: int) -> int:
         """Value of one register inside a state basis index."""
-        shift, width = self._state_shift(name)
-        return (index >> shift) & ((1 << width) - 1)
+        axis = self.axis(name)
+        shift = sum(w for _, w in self.state_registers[axis + 1 :])
+        return (index >> shift) & (self.state_shape[axis] - 1)
 
     def state_index(self, assignment: Mapping[str, "int | BitString"]) -> int:
         index = 0
@@ -362,7 +346,6 @@ def _tensor(ensemble: BranchEnsemble) -> np.ndarray:
     return ensemble.amplitudes.reshape((len(ensemble.settings),) + ensemble.layout.state_shape)
 
 
-@runtime_checkable
 class StageLike(Protocol):
     """What :func:`apply_stage` needs from a circuit stage."""
 

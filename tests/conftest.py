@@ -10,14 +10,12 @@ settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
 
 import oraclelab as ol  # noqa: E402
-from oraclelab import akrule  # noqa: E402
 from oraclelab.qstate import BranchEnsemble  # noqa: E402
 
 
-def clear_caches():
-    """Empty akrule's per-problem caches, so the next call builds everything anew."""
-    for cache in (akrule._index, akrule._core, akrule._solver, akrule._solved):
-        cache.cache_clear()
+def clear_caches(problem):
+    """Drop the views akrule keeps on the problem, so the next call on it builds them anew."""
+    vars(problem).pop("_index", None)
 
 
 def make_ensemble(layout, settings, rows, weights=None):

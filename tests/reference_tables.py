@@ -274,6 +274,14 @@ def gf2_rref(vectors) -> tuple[int, ...]:
     return tuple(sorted(rows, reverse=True))
 
 
+def gf2_span(vectors) -> list[int]:
+    """Every vector of the span over GF(2), ascending."""
+    span = {0}
+    for vector in vectors:
+        span |= {v ^ vector for v in span}
+    return sorted(span)
+
+
 def bfs_subspaces(width: int) -> tuple[tuple[int, ...], ...]:
     """Every subspace of GF(2)^width as its canonical basis, grown one vector at a time."""
     seen = {()}
@@ -281,9 +289,7 @@ def bfs_subspaces(width: int) -> tuple[tuple[int, ...], ...]:
     while frontier:
         grown = []
         for basis in frontier:
-            span = {0}
-            for row in basis:
-                span |= {v ^ row for v in span}
+            span = set(gf2_span(basis))
             for vector in range(1, 1 << width):
                 if vector not in span:
                     extended = gf2_rref(basis + (vector,))

@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -142,8 +145,50 @@ class TestSettingCheck:
             call(grover2, bad)
 
     def test_one_index_per_problem(self, grover2):
-        index = akrule._core(grover2, "cells").index
-        assert index is akrule._core(grover2, "linear").index is akrule._solver(grover2).index
+        index = akrule._index(grover2)
+        assert index is index.core("cells").index is index.core("linear").index is index.solver.index
+
+
+class TestProblemViews:
+    """The index and the views it owns live on the problem object, one set per object."""
+
+    def test_one_index_per_problem_after_twenty_others(self, grover2):
+        problem = ol.build_grover(3)
+        index = akrule._index(problem)
+        core, solver, solved = index.core("linear"), index.solver, index.solved
+        for k in range(20):
+            other = replace(grover2, name=f"other{k}")
+            akrule.predict_queries(other)
+            akrule.delta_entropy_via_states(other, other.setting_ids()[:2])
+        akrule.predict_queries(problem)
+        akrule.delta_entropy_via_states(problem, problem.setting_ids()[:2])
+        assert akrule._index(problem) is index
+        assert akrule._resolve(problem, None)[1] is core and core.index is index
+        assert index.solver is solver and solver.index is index and solver._memo
+        assert index.solved is solved
+
+    def test_copies_carry_no_index(self):
+        problem = ol.build_dj(2)
+        akrule.predict_queries(problem)
+        assert "_index" in vars(problem)
+        for again in (pickle.loads(pickle.dumps(problem)), copy.copy(problem), replace(problem)):
+            assert again == problem and "_index" not in vars(again)
+
+    def test_equal_problems_get_distinct_indexes_and_equal_reports(self, dj2):
+        again = ol.load_problem(ol.serialize_problem(dj2))
+        assert again == dj2 and again is not dj2
+        assert akrule._index(again) is not akrule._index(dj2)
+        for config in (AkConfig(family="cells"), AkConfig(family="linear", complementary=False)):
+            assert akrule.predict_queries(again, config) == akrule.predict_queries(dj2, config)
+        b = dj2.setting_ids()[1]
+        assert akrule.enumerate_occam_pairs(again, b) == akrule.enumerate_occam_pairs(dj2, b)
+
+    def test_clear_caches_drops_one_problems_views(self):
+        problem, other = ol.build_grover(2), ol.build_grover(3)
+        index, kept = akrule._index(problem), akrule._index(other)
+        clear_caches(problem)
+        assert "_index" not in vars(problem)
+        assert akrule._index(problem) is not index and akrule._index(other) is kept
 
 
 class TestEnumeratePairs:
@@ -293,7 +338,7 @@ class TestDecisionTree:
         problem = ol.OracleProblem("stuck3", 1, 1, settings, "cells")
         with pytest.raises(ValueError, match="indistinguishable"):
             akrule.decision_tree_cost(problem, problem.setting_ids())
-        solver = akrule._TreeSolver(problem)
+        solver = akrule._TreeSolver(akrule._Index(problem))
         with pytest.raises(ValueError, match="indistinguishable"):
             solver.costs([solver.index.mask_of(problem.setting_ids())])
         # sets without the pair are still solved
@@ -302,9 +347,9 @@ class TestDecisionTree:
 
     def test_batched_costs_close_search_instances_without_expansion(self):
         problem = ol.build_grover(4)
-        core = akrule._core(problem, "linear")
+        core = akrule._index(problem).core("linear")
         masks = list(akrule._instances(core, 5, True))
-        solver = akrule._TreeSolver(problem)
+        solver = akrule._TreeSolver(core.index)
         scanned = []
         splits = solver._splits
         solver._splits = lambda mask, args: scanned.append(mask) or splits(mask, args)
@@ -496,8 +541,8 @@ class TestFamilyGuards:
 
 def fresh_core(problem, family):
     """The core a call on the problem will use, built anew with no column formed."""
-    clear_caches()
-    core = akrule._core(problem, family)
+    clear_caches(problem)
+    core = akrule._index(problem).core(family)
     assert not core._columns
     return core
 
@@ -526,7 +571,7 @@ class TestColumnsOnDemand:
     @pytest.mark.parametrize("arg_bits", [1, 2, 3, 4])
     def test_cells_complement_is_the_reversed_spec(self, arg_bits):
         # the complementary cells partner of spec s is looked up as spec len - 1 - s
-        core = akrule._Core(ol.build_grover(arg_bits), "cells")
+        core = akrule._Core(akrule._Index(ol.build_grover(arg_bits)), "cells")
         everything = frozenset(range(1 << arg_bits))
         for s, key in enumerate(core.keys):
             assert frozenset(core.keys[-1 - s]) == everything - frozenset(key)

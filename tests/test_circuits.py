@@ -254,6 +254,11 @@ class TestBuiltinDispatch:
         assert circuits.builtin_circuit("dj", 1).name == "dj-n1"
         assert circuits.builtin_circuit("simon", 2).name == "simon1q-n2"
 
+    @pytest.mark.parametrize("kind,n", [("grover", 2), ("dj", 1), ("dj", 2), ("simon", 2)])
+    def test_initial_ensemble_is_built_once(self, kind, n):
+        circuit = circuits.builtin_circuit(kind, n)
+        assert ol.initial_ensemble(circuit) is ol.initial_ensemble(circuit)
+
     def test_unsupported(self):
         with pytest.raises(ValueError):
             circuits.builtin_circuit("grover", 4)

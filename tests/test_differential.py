@@ -35,11 +35,10 @@ from oraclelab import akrule
 from oraclelab.akrule import AkConfig, SettingReport
 from oraclelab.qstate import ATOL, BitString
 
-from conftest import clear_caches
 from reference_tables import (
     bfs_subspaces,
     brute_force_pairs,
-    gf2_rref,
+    gf2_span,
     memo_minimax_cost,
     plain_minimax_cost,
     reference_specs,
@@ -131,7 +130,7 @@ def test_generated_problems_entropy_routes_agree(case):
 
 def assert_columns_match(problem, family, positions=None):
     """Spec s's block in column i is the realized subset of spec s at setting i."""
-    core = akrule._Core(problem, family)
+    core = akrule._Core(akrule._Index(problem), family)
     assert [core.spec(s) for s in range(len(core.keys))] == reference_specs(problem, family)
     for i in range(len(core.index.ids)) if positions is None else positions:
         column = core.column(i)
@@ -222,22 +221,22 @@ def test_solver_matches_plain_minimax(case):
         expected = reference_cost(problem, mask)
         subset = [b for k, b in enumerate(ids) if mask >> k & 1]
         assert outcome(akrule.decision_tree_cost, problem, subset) == expected
-        assert outcome(akrule._TreeSolver(problem).cost, mask) == expected
+        assert outcome(akrule._TreeSolver(akrule._Index(problem)).cost, mask) == expected
 
 
 @settings(deadline=None)
 @given(case=solver_problems())
 def test_batched_costs_match_scalar_costs(case):
     problem, masks = case
-    scalar = akrule._TreeSolver(problem)
+    scalar = akrule._TreeSolver(akrule._Index(problem))
     expected = [outcome(scalar.cost, mask) for mask in masks]
     if ValueError in expected:
         with pytest.raises(ValueError, match="indistinguishable"):
-            akrule._TreeSolver(problem).costs(masks)
-        singles = [outcome(akrule._TreeSolver(problem).costs, [mask]) for mask in masks]
+            akrule._TreeSolver(akrule._Index(problem)).costs(masks)
+        singles = [outcome(akrule._TreeSolver(akrule._Index(problem)).costs, [mask]) for mask in masks]
         assert [c if c is ValueError else c[0] for c in singles] == expected
     else:
-        assert akrule._TreeSolver(problem).costs(masks) == expected
+        assert akrule._TreeSolver(akrule._Index(problem)).costs(masks) == expected
 
 
 @pytest.mark.parametrize("source", ["simon:n=3", "random_seed1.json"])
@@ -248,7 +247,7 @@ def test_solver_matches_memoized_minimax_on_large_sets(source):
         problem = ol.parse_selector(source)
     tables, solutions = definitions(problem)
     ids = problem.setting_ids()
-    solver = akrule._TreeSolver(problem)
+    solver = akrule._TreeSolver(akrule._Index(problem))
     memo = {}
     rng = random.Random(20240517)
     for _ in range(100):
@@ -329,9 +328,7 @@ REDUCTION_CASES = [
 
 @functools.lru_cache(maxsize=None)
 def builtin(selector):
-    # one object per selector, and no equal problem left in the package's
-    # caches by an earlier test, so a lookup matches by identity
-    clear_caches()
+    # one object per selector, so the cases of a selector share its views
     return ol.parse_selector(selector)
 
 
@@ -367,17 +364,13 @@ def covariant_problems(draw):
     vectors = st.integers(1, (1 << width) - 1)
     low = (1 << arg_bits) - 1
 
-    def span(vectors):
-        bits = akrule._span_bits(gf2_rref(vectors))
-        return [v for v in range(1 << width) if bits >> v & 1]
-
     swap = draw(st.sampled_from(["", "table", "answer", "outcome"]))
-    shifts = span(draw(st.lists(vectors, min_size=1, max_size=width)))
+    shifts = gf2_span(draw(st.lists(vectors, min_size=1, max_size=width)))
     # an answer swap breaks only the answer partition when outcomes are single
     # settings; an outcome swap needs answers holding several outcomes
-    outcome_group = span(draw(st.lists(st.sampled_from(shifts), max_size=0 if swap == "answer" else 1)))
+    outcome_group = gf2_span(draw(st.lists(st.sampled_from(shifts), max_size=0 if swap == "answer" else 1)))
     # shifts with p(t) = 0 repeat a table, so they join the answer group
-    answer_group = span(
+    answer_group = gf2_span(
         outcome_group
         + [t for t in shifts if not t & low]
         + draw(st.lists(vectors, min_size=swap == "outcome", max_size=1))

@@ -34,10 +34,6 @@ class TestBitString:
         assert bits.text == "0011"
         assert str(bits) == "0011"
 
-    def test_bit_positions_are_left_to_right(self):
-        bits = BitString.from_text("0110")
-        assert [bits.bit(i) for i in range(4)] == [0, 1, 1, 0]
-
     def test_invert(self):
         assert (~BitString.from_text("10")).text == "01"
         assert (~BitString.from_text("0011")).text == "1100"
