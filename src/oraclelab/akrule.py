@@ -302,13 +302,23 @@ class _Index:
         self.full_entropy = _entropy(self.counts(self.full))
         self._cores: dict[str, _Core] = {}
         self._facts: dict[int, tuple[bool, int]] = {}
+        self._subsets: dict[int, frozenset[BitString]] = {}
+        self._masks: dict[frozenset[BitString], int] = {}
+        self._epsilons: dict[int, float] = {}
         self._key_of_counts: dict[tuple[int, ...], int] = {}
         self._key_ids: dict[tuple, int] = {}
         self._solved: tuple[BranchEnsemble, float] | None = None
         self.solver = _TreeSolver(self)
 
     def mask_of(self, settings: Iterable[BitString]) -> int:
-        """The mask of a nonempty set of settings, each checked to be one of the problem's."""
+        """The mask of a nonempty set of settings, each checked to be one of the problem's.
+
+        A frozenset equal to one that ``subset`` returned is looked up instead.
+        """
+        if isinstance(settings, frozenset):
+            mask = self._masks.get(settings)
+            if mask is not None:
+                return mask
         mask = 0
         for b in settings:
             i = self.position.get(b.value)
@@ -320,7 +330,12 @@ class _Index:
         return mask
 
     def subset(self, mask: int) -> frozenset[BitString]:
-        return frozenset(self.ids[i] for i in _members(mask))
+        """The settings in the mask; one frozenset per mask, which ``mask_of`` maps back."""
+        subset = self._subsets.get(mask)
+        if subset is None:
+            subset = self._subsets[mask] = frozenset(self.ids[i] for i in _members(mask))
+            self._masks[subset] = mask
+        return subset
 
     def constant(self, mask: int) -> bool:
         """Whether every setting in the nonempty mask has one answer."""
@@ -338,8 +353,11 @@ class _Index:
         return tuple(sorted(counts))
 
     def epsilon(self, mask: int) -> float:
-        """The entropy drop of knowing the setting lies in the mask, as a float."""
-        return self.full_entropy - _entropy(self.counts(mask))
+        """The entropy drop of knowing the setting lies in the mask, as a float; memoized."""
+        epsilon = self._epsilons.get(mask)
+        if epsilon is None:
+            epsilon = self._epsilons[mask] = self.full_entropy - _entropy(self.counts(mask))
+        return epsilon
 
     def facts(self, mask: int) -> tuple[bool, int]:
         """Whether the block leaves the answer undetermined, and its interned entropy key."""
@@ -566,15 +584,15 @@ def enumerate_occam_pairs(
         for t in partners(s):
             if t < s:
                 continue
-            a, b = sorted((s, t), key=lambda u: members(column[u]))
+            a, b = (s, t) if members(column[s]) <= members(column[t]) else (t, s)
             key = (column[a], column[b])
             rank = core.rank(s, t, config.complementary)
             if key not in first or rank < first[key][0]:
                 first[key] = (rank, a, b)
     ordered = sorted(first.items(), key=lambda item: (members(item[0][0]), members(item[0][1])))
-    subset = functools.cache(core.index.subset)
+    index = core.index
     return tuple(
-        OccamPair(core.spec(a), subset(m_a), core.spec(b), subset(m_b), core.index.epsilon(m_a))
+        OccamPair(core.spec(a), index.subset(m_a), core.spec(b), index.subset(m_b), index.epsilon(m_a))
         for (m_a, m_b), (_, a, b) in ordered
     )
 
@@ -651,6 +669,18 @@ class _TreeSolver:
         self._group_starts = np.cumsum([0] + [len(groups) for groups in index.arg_groups[:-1]])
         self._solution_table = _bits(self.solution_masks, n).T.astype(np.float32)
         self._memo: dict[int, int] = {}
+        # the most values one query can show
+        self.fanout = max(len(groups) for groups in index.arg_groups)
+
+    def _answers_exceed(self, mask: int, k: int) -> bool:
+        """Whether the settings in the mask have more than k distinct answers."""
+        solution = self.index.solution
+        while mask:
+            if not k:
+                return True
+            mask &= ~solution[(mask & -mask).bit_length() - 1]
+            k -= 1
+        return False
 
     def _splits(self, mask: int, args: tuple[int, ...]):
         out = []
@@ -679,7 +709,7 @@ class _TreeSolver:
         """Exact minimax cost of a decidable set; args need only contain every splitter of mask.
 
         Branch and bound starts from |S| - 1 and stops once the best tree
-        meets the pigeonhole lower bound.
+        meets the pigeonhole lower bound.  Only exact costs enter the memo.
         """
         cached = self._memo.get(mask)
         if cached is not None:
@@ -696,6 +726,11 @@ class _TreeSolver:
                 break
             worst = 0
             for part in parts:
+                # a tree of depth t tells at most fanout^t answers apart, so a part with
+                # more answers than fanout^(best - 2) costs >= best - 1: it need not be expanded
+                if self._answers_exceed(part, self.fanout ** (best - 2)):
+                    worst = None
+                    break
                 c = self._cost(part, narrowed)
                 if c >= best - 1:
                     worst = None

@@ -322,13 +322,20 @@ def builtin_circuit(kind: str, n: int) -> Circuit:
     raise ValueError(f"no built-in circuit for problem kind {kind!r}")
 
 
+def _check_problem(circuit: Circuit, problem: OracleProblem) -> None:
+    """Raise unless ``problem`` equals the problem the circuit is bound to."""
+    if problem is not circuit.problem and problem != circuit.problem:
+        raise ValueError(f"problem {problem.name!r} is not the problem of circuit {circuit.name!r}")
+
+
 def derive_a_outcome(circuit: Circuit, problem: OracleProblem, b: BitString) -> BitString:
     """The basis label left in register A when the circuit runs on setting b.
 
-    Raises when the output A-state is not a basis state (up to global phase),
-    which signals that the circuit does not leave a sharp per-setting outcome
-    for this problem.
+    ``problem`` must be the circuit's own problem.  Raises when the output
+    A-state is not a basis state (up to global phase), which signals that the
+    circuit does not leave a sharp per-setting outcome for this problem.
     """
+    _check_problem(circuit, problem)
     problem.setting(b)
     branch = prepare_setting(initial_ensemble(circuit), b)
     dist = measure_register(run(circuit, branch).final, "A")

@@ -18,7 +18,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .akrule import AkInstance, _index
-from .circuits import Circuit
+from .circuits import Circuit, _check_problem
 from .oracle import OracleProblem, evaluate
 from .qstate import BitString
 
@@ -49,10 +49,12 @@ def enumerate_histories(
 ) -> tuple[History, ...]:
     """All nonzero-amplitude basis paths of the circuit run on one setting.
 
-    ``v_branch`` fixes the initial basis state of the minus-state register
-    (0 by default); ``"both"`` enumerates from both initial V values.  Stage
-    matrix elements with magnitude at most ``AMP_FLOOR`` do not branch.
+    ``problem`` must be the circuit's own problem.  ``v_branch`` fixes the
+    initial basis state of the minus-state register (0 by default);
+    ``"both"`` enumerates from both initial V values.  Stage matrix elements
+    with magnitude at most ``AMP_FLOOR`` do not branch.
     """
+    _check_problem(circuit, problem)
     problem.setting(b)
     layout = circuit.layout
     matrices = [stage.unitary(layout, b) for stage in circuit.stages]

@@ -191,6 +191,50 @@ class TestProblemViews:
         assert akrule._index(problem) is not index and akrule._index(other) is kept
 
 
+class TestIndexMemo:
+    """Subsets, masks and epsilons are memoized on the index without changing any answer."""
+
+    def test_one_subset_per_mask_and_its_mask_back(self, simon2):
+        index = akrule._index(simon2)
+        subset = index.subset(0b1011)
+        assert index.subset(0b1011) is subset
+        assert index.mask_of(subset) == 0b1011
+        equal = frozenset(BitString(b.value, b.width) for b in subset)
+        assert equal == subset and equal is not subset
+        assert index.mask_of(equal) == 0b1011
+        assert index.mask_of(sorted(subset)) == 0b1011
+
+    def test_emitted_instances_map_back_to_their_masks(self, dj2):
+        index = akrule._index(dj2)
+        for b in dj2.setting_ids():
+            for inst in akrule.setting_instances(dj2, b):
+                mask = index.mask_of(inst.subset)
+                assert index.subset(mask) is inst.subset
+                assert inst.epsilon == index.epsilon(mask) == akrule.delta_entropy(dj2, inst.subset)
+
+    def test_checks_hold_after_the_memo_is_warm(self, grover2):
+        index = akrule._index(grover2)
+        for b in grover2.setting_ids():
+            akrule.enumerate_occam_pairs(grover2, b)
+        assert index._masks
+        member = grover2.setting_ids()[0]
+        for bad in (BitString(4, 3), BitString(1, 3)):
+            with pytest.raises(ValueError, match="unknown setting"):
+                index.mask_of(frozenset({member, bad}))
+            with pytest.raises(ValueError, match="unknown setting"):
+                akrule.decision_tree_cost(grover2, frozenset({bad}))
+        with pytest.raises(ValueError, match="empty subset"):
+            index.mask_of(frozenset())
+        with pytest.raises(ValueError, match="empty subset"):
+            akrule.delta_entropy(grover2, frozenset())
+
+    def test_epsilon_is_memoized_and_exact(self, simon2):
+        index = akrule._index(simon2)
+        for mask in range(1, index.full + 1):
+            expected = index.full_entropy - akrule._entropy(index.counts(mask))
+            assert index.epsilon(mask) == index.epsilon(mask) == index._epsilons[mask] == expected
+
+
 class TestEnumeratePairs:
     def test_search_pairs(self, grover2):
         pairs = akrule.enumerate_occam_pairs(grover2, bits("01"))
@@ -356,6 +400,38 @@ class TestDecisionTree:
         assert solver.costs(masks) == [3] * len(masks)
         # the batched bounds settled every mask: the scalar recursion never ran
         assert not scanned and sorted(solver._memo) == sorted(masks)
+
+    @staticmethod
+    def four_settings(rows):
+        """A problem on settings 00..11 from (table, answer) rows; tables read left to right."""
+        settings = tuple(
+            ol.Setting(BitString(k, 2), tuple(bits(v) for v in table), answer, BitString(k, 2))
+            for k, (table, answer) in enumerate(rows)
+        )
+        problem = ol.OracleProblem("cut", 2, 1, settings, "cells")
+        tables, solutions = reference_problem_tables(problem)
+        return problem, plain_minimax_cost(tables, solutions, tables)
+
+    def test_non_constant_children_are_cut_off_at_cost_two(self):
+        # answers x, x, y, z; argument 0 splits the set 2/2 into pairs of cost 1,
+        # so best is 2 and the size-3 parts of arguments 1 and 2 cannot beat it
+        problem, expected = self.four_settings([("0000", "x"), ("1100", "x"), ("0100", "y"), ("1110", "z")])
+        solver = akrule._TreeSolver(akrule._Index(problem))
+        assert solver._splits(0b1111, solver.args) == [(0, [0b0101, 0b1010]), (1, [0b0001, 0b1110]), (2, [0b0111, 0b1000])]
+        assert solver.cost(0b1111) == expected == 2
+        assert solver._memo == {0b1111: 2, 0b0101: 1, 0b1010: 1, 0b0001: 0}
+        assert [solver.cost(m) for m in (0b1110, 0b0111)] == [2, 2]
+
+    def test_parts_with_more_answers_than_one_query_shows_are_cut_off_at_cost_three(self):
+        # four answers and one-bit values: at best 3 the part {00, 01, 10} of
+        # argument 0 needs 2 queries to tell its 3 answers apart, so it is not expanded
+        problem, expected = self.four_settings([("1111", "y"), ("1011", "x"), ("1000", "z"), ("0111", "w")])
+        solver = akrule._TreeSolver(akrule._Index(problem))
+        assert solver.fanout == 2
+        assert solver._splits(0b1111, solver.args)[:2] == [(0, [0b0111, 0b1000]), (1, [0b1001, 0b0110])]
+        assert solver.cost(0b1111) == expected == 2
+        assert solver._memo == {0b1111: 2, 0b1001: 1, 0b0110: 1}
+        assert solver.cost(0b0111) == 2
 
     def test_empty_candidates_rejected(self, grover2):
         with pytest.raises(ValueError):

@@ -204,6 +204,11 @@ class TestDeriveOutcome:
     def test_period_outcome(self, simon_circuit, simon2):
         assert ol.derive_a_outcome(simon_circuit, simon2, bits("1100")).text == "01"
 
+    def test_foreign_problem_rejected(self, grover_circuit, dj2):
+        # dj2 knows the setting 0110, the circuit's search problem does not
+        with pytest.raises(ValueError, match="not the problem of circuit"):
+            ol.derive_a_outcome(grover_circuit, dj2, bits("0110"))
+
     def test_not_sharp_raises(self, grover2):
         layout = ol.RegisterLayout((("B", 2), ("A", 2), ("V", 1)), "B")
         circuit = circuits.make_circuit("halfway", layout, grover2, (circuits.hadamard("A"),))

@@ -77,6 +77,11 @@ class TestEnumeration:
         assert paths[0].amplitude == 1.0
         assert paths[0].query_args == ()
 
+    def test_foreign_problem_rejected(self, grover_circuit, dj2):
+        # dj2 knows the setting 0110, the circuit's search problem does not
+        with pytest.raises(ValueError, match="not the problem of circuit"):
+            histories.enumerate_histories(grover_circuit, dj2, bits("0110"))
+
     def test_unknown_setting(self, grover_circuit):
         with pytest.raises(ValueError):
             histories.enumerate_histories(grover_circuit, grover_circuit.problem, bits("0011"))
