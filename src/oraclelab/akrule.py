@@ -221,6 +221,20 @@ def _bits(masks: Iterable[int], n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little").reshape(len(masks), 8 * width)[:, :n]
 
 
+def _words(masks: Iterable[int], n_words: int) -> np.ndarray:
+    """Row k holds the k-th mask as n_words uint64 words, the least significant first."""
+    rows = [[m >> 64 * w & 0xFFFF_FFFF_FFFF_FFFF for w in range(n_words)] for m in masks]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), n_words)
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    """Each row of uint64 words as one mask, the inverse of ``_words``."""
+    masks = [0] * len(words)
+    for w in range(words.shape[1] - 1, -1, -1):
+        masks = [m << 64 | x for m, x in zip(masks, words[:, w].tolist())]
+    return masks
+
+
 def _members(mask: int) -> tuple[int, ...]:
     """The set bit positions, ascending."""
     out = []
@@ -403,10 +417,12 @@ class _Core:
     """Every readout of one family as a partition of the setting positions.
 
     Spec s is a sorted key: its cells, or its masks' reduced echelon basis.
-    It is stored as a recipe: its parent (the key less its last entry, which
-    comes earlier since keys ascend by length) and the atom of that entry,
-    the partition one cell or mask makes; the families differ only in their
-    atoms.  ``column(i)`` forms every block at position i when a call scans it.
+    Specs ascend by key length, and spec ``bounds[k]`` is the first of length
+    k.  Spec s is stored as a recipe of two arrays: ``parent[s]``, the spec
+    of its key less the last entry (a shorter key, so an earlier spec), and
+    ``atom[s]``, the atom of that entry, the partition one cell or mask
+    makes; the families differ only in their atoms.  ``column(i)`` forms
+    every block at position i when a call scans it, as uint64 words.
     """
 
     def __init__(self, index: _Index, family: str):
@@ -419,7 +435,22 @@ class _Core:
                     f"cells enumeration supports tables of up to {MAX_CELLS_POSITIONS} "
                     f"entries, this problem has {positions}"
                 )
-            keys = [c for size in range(positions + 1) for c in itertools.combinations(range(positions), size)]
+            # each set of cells as a mask m: its size, its bit reversal and its top cell
+            size, reverse, top = np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)
+            for q in range(positions):
+                size = np.concatenate([size, size + 1])
+                reverse = np.concatenate([reverse, reverse | 1 << (positions - 1 - q)])
+                top = np.concatenate([top, np.full_like(top, q)])
+            # sets of one size ascend lexicographically when the one holding the
+            # least cell of their difference comes first: the larger bit reversal
+            self.chosen = np.argsort((size << positions) - reverse)
+            spec_of = np.empty_like(self.chosen)
+            spec_of[self.chosen] = np.arange(len(self.chosen))
+            self.atom = top[self.chosen]
+            self.parent = spec_of[self.chosen & ~(1 << self.atom)]
+            # cells keys end in every position, so the cells atoms are the index's in order
+            self.atoms = index.cells
+            lengths = size[self.chosen]
         elif family == "linear":
             self.width = index.problem.setting_width
             if self.width > MAX_LINEAR_WIDTH:
@@ -427,61 +458,88 @@ class _Core:
                     f"linear enumeration supports setting widths up to {MAX_LINEAR_WIDTH}, "
                     f"this problem has {self.width} bits per setting"
                 )
-            keys = _all_subspaces(self.width)
+            self.keys = keys = _all_subspaces(self.width)
             self.spans = tuple(_span_bits(basis) for basis in keys)
+            spec_of = {key: s for s, key in enumerate(keys)}
+            where = {x: a for a, x in enumerate(sorted({key[-1] for key in keys[1:]}))}
+            self.atoms = tuple(_partition(_dot(mask, b.value) for b in index.ids) for mask in where)
+            self.parent = np.array([0] + [spec_of[key[:-1]] for key in keys[1:]])
+            self.atom = np.array([0] + [where[key[-1]] for key in keys[1:]])
+            lengths = [len(key) for key in keys]
         else:
             raise ValueError(f"unknown measurement family {family!r}")
-        self.keys = tuple(keys)
-        spec_of = {key: s for s, key in enumerate(keys)}
-        where = {x: a for a, x in enumerate(sorted({key[-1] for key in keys[1:]}))}
-        # cells keys end in every position, so the cells atoms are the index's in order
-        self.atoms = index.cells if family == "cells" else tuple(
-            _partition(_dot(mask, b.value) for b in index.ids) for mask in where
-        )
-        self.recipe = tuple((spec_of[key[:-1]], where[key[-1]]) for key in keys[1:])
-        self._columns: dict[int, tuple[int, ...]] = {}
+        self.bounds = np.searchsorted(lengths, np.arange(lengths[-1] + 2)).tolist()
+        self.n_words = -(-len(index.ids) // 64)
+        self._columns: dict[int, np.ndarray] = {}
         self._specs: dict[int, MeasurementSpec] = {}
 
-    def column(self, i: int) -> tuple[int, ...]:
-        """Entry s: spec s's block at position i, its parent's cut by its atom's; built once."""
-        if i not in self._columns:
-            blocks, atoms = [self.index.full], [a[i] for a in self.atoms]
-            for parent, a in self.recipe:
-                blocks.append(blocks[parent] & atoms[a])
-            self._columns[i] = tuple(blocks)
-        return self._columns[i]
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def key(self, s: int) -> tuple[int, ...]:
+        """Spec s's sorted key."""
+        return _members(int(self.chosen[s])) if self.family == "cells" else self.keys[s]
+
+    def column(self, i: int) -> np.ndarray:
+        """Row s: spec s's block at position i, its parent's cut by its atom's; built once.
+
+        Word w of a row holds settings 64w to 64w + 63.  One gather and AND
+        forms each key length from the one before.
+        """
+        column = self._columns.get(i)
+        if column is None:
+            atoms = _words([a[i] for a in self.atoms], self.n_words)
+            column = np.empty((len(self), self.n_words), np.uint64)
+            column[0] = _words([self.index.full], self.n_words)[0]
+            for lo, hi in zip(self.bounds[1:], self.bounds[2:]):
+                np.bitwise_and(column[self.parent[lo:hi]], atoms[self.atom[lo:hi]], out=column[lo:hi])
+            self._columns[i] = column
+        return column
 
     def spec(self, s: int) -> MeasurementSpec:
         """Spec s as the public API sees it, made on first use."""
         if s not in self._specs:
-            key = self.keys[s]
+            key = self.key(s)
             self._specs[s] = (cells_spec(key) if self.family == "cells"
                               else MeasurementSpec("linear", masks=tuple(BitString(v, self.width) for v in key)))
         return self._specs[s]
 
-    def partners(self, i: int, complementary: bool) -> Callable[[int], Iterator[int]]:
-        """The pair predicate at setting position i, as each spec's partner generator.
+    def partners(self, i: int, complementary: bool) -> tuple[dict[int, int], Callable[[int], Iterator[int]]]:
+        """The specs that may pair at setting position i, and each one's partner generator.
 
         Spec t partners spec s when their blocks at i meet in exactly i, both
         leave the answer undetermined, both have the same entropy key, and
         the specs are related: complements (cells) or a direct sum (linear)
         when ``complementary`` is on, any two distinct specs when it is off.
         The relation is symmetric, so t partners s exactly when s partners t.
+
+        A bitwise pass over the column drops first every spec whose block
+        lies inside one solution block, and for complementary cells every
+        spec whose complement is dropped or whose block meets its
+        complement's in more than i.  The rest, as {spec: block mask} in spec
+        order, take the exact test above.
         """
         bit = 1 << i
         column, facts = self.column(i), self.index.facts
+        kept = (column & ~_words([self.index.solution[i]], self.n_words)).any(axis=1)
         direct_sum = complementary and self.family == "linear"
-        if complementary and self.family == "cells":
+        complement = complementary and self.family == "cells"
+        if complement:
             # cells keys of one size ascend lexicographically and complementing
             # reverses that order, so spec s's complement is spec len - 1 - s
+            kept &= kept[::-1] & ((column & column[::-1]) == _words([bit], self.n_words)).all(axis=1)
+        specs = np.flatnonzero(kept)
+        blocks = dict(zip(specs.tolist(), _ints(column[specs])))
+        if complement:
+
             def candidates(s: int, key: int) -> Iterable[int]:
-                return (len(self.keys) - 1 - s,)
+                return (len(self) - 1 - s,)
 
         else:
             # bucket by (dimension, key); the partner of a direct sum has the
             # complementary dimension, any other partner may have any
             buckets: dict[tuple[int, int], list[int]] = {}
-            for t, block in enumerate(column):
+            for t, block in blocks.items():
                 undetermined, key = facts(block)
                 if undetermined:
                     buckets.setdefault((len(self.keys[t]) if direct_sum else 0, key), []).append(t)
@@ -490,18 +548,18 @@ class _Core:
                 return buckets.get((self.width - len(self.keys[s]) if direct_sum else 0, key), ())
 
         def partners(s: int) -> Iterator[int]:
-            mine = column[s]
+            mine = blocks[s]
             undetermined, key = facts(mine)
             if not undetermined:
                 return
             for t in candidates(s, key):
-                if column[t] & mine != bit or t == s or facts(column[t]) != (True, key):
+                if blocks[t] & mine != bit or t == s or facts(blocks[t]) != (True, key):
                     continue
                 if direct_sum and self.spans[s] & self.spans[t] != 1:
                     continue
                 yield t
 
-        return partners
+        return blocks, partners
 
     def rank(self, s: int, t: int, complementary: bool) -> tuple[int, ...]:
         """Where the unordered pair {s, t} comes in the canonical candidate order.
@@ -510,7 +568,7 @@ class _Core:
         cells come first; every other pair at (lower index, higher index).
         """
         if complementary and self.family == "cells":
-            return (min(s, t, key=self.keys.__getitem__),)
+            return (min(s, t, key=self.key),)
         return min(s, t), max(s, t)
 
 
@@ -577,15 +635,15 @@ def enumerate_occam_pairs(
     """
     config, core = _resolve(problem, config)
     i = core.index.mask_of((b_star,)).bit_length() - 1
-    partners, column = core.partners(i, config.complementary), core.column(i)
+    blocks, partners = core.partners(i, config.complementary)
     members = functools.cache(_members)  # each block's sort key, computed once per call
     first: dict[tuple[int, int], tuple] = {}
-    for s in range(len(column)):
+    for s, mine in blocks.items():
         for t in partners(s):
             if t < s:
                 continue
-            a, b = (s, t) if members(column[s]) <= members(column[t]) else (t, s)
-            key = (column[a], column[b])
+            a, b = (s, t) if members(mine) <= members(blocks[t]) else (t, s)
+            key = (blocks[a], blocks[b])
             rank = core.rank(s, t, config.complementary)
             if key not in first or rank < first[key][0]:
                 first[key] = (rank, a, b)
@@ -613,9 +671,9 @@ def _instances(core: _Core, i: int, complementary: bool) -> dict[int, int]:
     The spec is the first one, in spec order, whose block at i is that mask
     and has a partner.
     """
-    partners = core.partners(i, complementary)
+    blocks, partners = core.partners(i, complementary)
     found: dict[int, int] = {}
-    for s, mask in enumerate(core.column(i)):
+    for s, mask in blocks.items():
         if mask not in found and next(partners(s), None) is not None:
             found[mask] = s
     return found

@@ -10,12 +10,28 @@ settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
 
 import oraclelab as ol  # noqa: E402
-from oraclelab.qstate import BranchEnsemble  # noqa: E402
+from oraclelab.qstate import BitString, BranchEnsemble  # noqa: E402
 
 
 def clear_caches(problem):
     """Drop the views akrule keeps on the problem, so the next call on it builds them anew."""
     vars(problem).pop("_index", None)
+
+
+def solver_problem(arg_bits, out_bits, tables, answers):
+    """Setting k has table tables[k] (entry a in bits out_bits * a on), answer answers[k] and outcome k."""
+    width = max(1, (len(tables) - 1).bit_length())
+    entry = (1 << out_bits) - 1
+    settings_ = [
+        ol.Setting(
+            BitString(k, width),
+            tuple(BitString((t >> (out_bits * a)) & entry, out_bits) for a in range(1 << arg_bits)),
+            f"s{answer}",
+            BitString(k, width),
+        )
+        for k, (t, answer) in enumerate(zip(tables, answers))
+    ]
+    return ol.OracleProblem("generated", arg_bits, out_bits, tuple(settings_), "cells")
 
 
 def make_ensemble(layout, settings, rows, weights=None):

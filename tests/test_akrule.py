@@ -13,7 +13,7 @@ from oraclelab import akrule
 from oraclelab.akrule import AkConfig, MeasurementSpec, cells_spec
 from oraclelab.qstate import ATOL, BitString
 
-from conftest import clear_caches
+from conftest import clear_caches, solver_problem
 from reference_tables import gf2_rref, plain_minimax_cost
 
 LOG2_3 = math.log2(3.0)
@@ -639,6 +639,45 @@ class TestColumnsOnDemand:
         akrule.predict_queries(problem)
         assert sorted(core._columns) == list(range(32))
 
+    def test_cells_predict_takes_no_exact_key(self):
+        # on grover:n=4 cells the bitwise pass rules out every spec before its
+        # entropy key is needed; without it, 32,768 blocks took one
+        problem = ol.build_grover(4)
+        core = fresh_core(problem, "cells")
+        akrule.predict_queries(problem, AkConfig(family="cells"))
+        assert not core.index._facts
+        assert len(core._columns) == 1
+
+    @pytest.mark.parametrize("complementary", [True, False])
+    @pytest.mark.parametrize("selector", ["dj:n=2", "simon:n=2", "repeated tables"])
+    def test_bitwise_pass_keeps_exactly_the_specs_that_may_pair(self, selector, complementary):
+        # a block may pair when it leaves the answer open; a complementary cells
+        # block also needs an open complement that it meets in the true setting
+        # only, which with distinct tables it always does
+        if selector == "repeated tables":
+            problem = solver_problem(2, 1, [0b0000, 0b0000, 0b0011, 0b0101, 0b0101, 0b0110], [0, 1, 0, 1, 0, 1])
+        else:
+            problem = ol.parse_selector(selector)
+        core = fresh_core(problem, "cells")
+        everything = frozenset(range(1 << problem.arg_bits))
+
+        def open_subset(spec, b):
+            subset = akrule.realized_subset(problem, spec, b)
+            return subset if len({problem.setting(x).solution for x in subset}) > 1 else None
+
+        for i, b in enumerate(problem.setting_ids()):
+            expected = {}
+            for s in range(len(core)):
+                mine = open_subset(core.spec(s), b)
+                if mine is not None and complementary:
+                    theirs = open_subset(cells_spec(everything - core.spec(s).cells), b)
+                    mine = mine if theirs is not None and mine & theirs == {b} else None
+                if mine is not None:
+                    expected[s] = mine
+            blocks, _ = core.partners(i, complementary)
+            assert {s: core.index.subset(mask) for s, mask in blocks.items()} == expected
+            assert list(blocks) == sorted(blocks)
+
     def test_pairs_form_the_column_of_their_setting(self, simon2):
         core = fresh_core(simon2, "cells")
         akrule.enumerate_occam_pairs(simon2, simon2.setting_ids()[3])
@@ -649,5 +688,5 @@ class TestColumnsOnDemand:
         # the complementary cells partner of spec s is looked up as spec len - 1 - s
         core = akrule._Core(akrule._Index(ol.build_grover(arg_bits)), "cells")
         everything = frozenset(range(1 << arg_bits))
-        for s, key in enumerate(core.keys):
-            assert frozenset(core.keys[-1 - s]) == everything - frozenset(key)
+        for s in range(len(core)):
+            assert frozenset(core.key(len(core) - 1 - s)) == everything - frozenset(core.key(s))

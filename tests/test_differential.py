@@ -27,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oraclelab as ol
@@ -35,6 +35,7 @@ from oraclelab import akrule
 from oraclelab.akrule import AkConfig, SettingReport
 from oraclelab.qstate import ATOL, BitString
 
+from conftest import solver_problem
 from reference_tables import (
     bfs_subspaces,
     brute_force_pairs,
@@ -79,14 +80,21 @@ def test_builtins_match_brute_force(selector, family, complementary):
 
 
 @st.composite
-def generated_problems(draw):
-    """A valid problem with its true setting: up to 8 cells, up to 4 setting bits."""
-    width = draw(st.integers(1, 4))
-    arg_bits = draw(st.integers(1, 3))
-    out_bits = draw(st.integers(1, min(arg_bits, 2)))
+def generated_problems(draw, size=None):
+    """A valid problem with its true setting: up to 8 cells, up to 4 setting bits.
+
+    With ``size`` given, the problem has exactly that many settings, on 8
+    one-bit cells.
+    """
+    if size is None:
+        width = draw(st.integers(1, 4))
+        arg_bits = draw(st.integers(1, 3))
+        out_bits = draw(st.integers(1, min(arg_bits, 2)))
+        most = min(1 << width, 1 << (out_bits << arg_bits))
+        size = draw(st.integers(max(2, most // 2), most))
+    else:
+        width, arg_bits, out_bits = (size - 1).bit_length(), 3, 1
     n_tables = 1 << (out_bits << arg_bits)
-    most = min(1 << width, n_tables)
-    size = draw(st.integers(max(2, most // 2), most))
     ids = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=size, max_size=size, unique=True))
     tables = draw(st.lists(st.integers(0, n_tables - 1), min_size=size, max_size=size, unique=True))
     n_outcomes = draw(st.sampled_from([d for d in range(2, size + 1) if size % d == 0]))
@@ -131,10 +139,10 @@ def test_generated_problems_entropy_routes_agree(case):
 def assert_columns_match(problem, family, positions=None):
     """Spec s's block in column i is the realized subset of spec s at setting i."""
     core = akrule._Core(akrule._Index(problem), family)
-    assert [core.spec(s) for s in range(len(core.keys))] == reference_specs(problem, family)
+    assert [core.spec(s) for s in range(len(core))] == reference_specs(problem, family)
     for i in range(len(core.index.ids)) if positions is None else positions:
-        column = core.column(i)
-        assert len(column) == len(core.keys)
+        column = akrule._ints(core.column(i))
+        assert len(column) == len(core)
         for s, mask in enumerate(column):
             assert core.index.subset(mask) == akrule.realized_subset(problem, core.spec(s), core.index.ids[i]), (i, s)
 
@@ -143,7 +151,8 @@ def assert_columns_match(problem, family, positions=None):
     "selector,family,positions",
     [(selector, family, None) for selector in ("grover:n=2", "dj:n=1", "dj:n=2", "simon:n=2")
      for family in ("cells", "linear")]
-    + [("simon:n=3", "cells", range(0, 168, 8)), ("grover:n=4", "linear", None), ("grover:n=4", "cells", (0, 9))],
+    + [("simon:n=3", "cells", range(0, 168, 8)), ("grover:n=4", "linear", None), ("grover:n=4", "cells", (0, 9)),
+       ("grover:n=6", "linear", (0, 63))],
 )
 def test_columns_match_realized_subsets_on_builtins(selector, family, positions):
     assert_columns_match(ol.parse_selector(selector), family, positions)
@@ -157,6 +166,16 @@ def test_columns_match_realized_subsets_on_generated_problems(case, family):
     assert_columns_match(problem, family)
 
 
+@pytest.mark.parametrize("size", [63, 64, 65])
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_columns_match_realized_subsets_at_word_boundaries(size, data):
+    # a column row is one uint64 word up to 64 settings: 63 leave the top bit
+    # clear, 64 fill it, and at 65 the last setting is bit 0 of a second word
+    problem, _ = data.draw(generated_problems(size))
+    assert_columns_match(problem, "cells", [i for i in (0, 1, 62, 63, 64) if i < size])
+
+
 @st.composite
 def solver_problems(draw):
     """A problem whose tables may repeat, with or without a shared answer, and candidate masks.
@@ -167,24 +186,12 @@ def solver_problems(draw):
     arg_bits = draw(st.integers(1, 3))
     out_bits = draw(st.integers(1, min(arg_bits, 2)))
     size = draw(st.integers(1, 9))
-    width = max(1, (size - 1).bit_length())
     pool = draw(st.integers(1, min(size + 2, 1 << (out_bits << arg_bits))))
     tables = draw(st.lists(st.integers(0, pool - 1), min_size=size, max_size=size))
     n_answers = draw(st.integers(1, size))
     answers = draw(st.lists(st.integers(0, n_answers - 1), min_size=size, max_size=size))
-    entry = (1 << out_bits) - 1
-    settings_ = [
-        ol.Setting(
-            BitString(k, width),
-            tuple(BitString((t >> (out_bits * a)) & entry, out_bits) for a in range(1 << arg_bits)),
-            f"s{answer}",
-            BitString(k, width),
-        )
-        for k, (t, answer) in enumerate(zip(tables, answers))
-    ]
-    problem = ol.OracleProblem("generated", arg_bits, out_bits, tuple(settings_), "cells")
     masks = draw(st.lists(st.integers(1, (1 << size) - 1), min_size=1, max_size=8))
-    return problem, masks
+    return solver_problem(arg_bits, out_bits, tables, answers), masks
 
 
 def definitions(problem):
@@ -226,10 +233,14 @@ def test_solver_matches_plain_minimax(case):
 
 @settings(deadline=None)
 @given(case=solver_problems())
+# tables 00, 00, 10, 11 with answers x, x, y, x cost 2, and every depth-2
+# tree leaves a part with two answers after its first query
+@example(case=(solver_problem(1, 1, [0, 0, 1, 3], [0, 0, 1, 0]), [0b1111]))
 def test_batched_costs_match_scalar_costs(case):
     problem, masks = case
     scalar = akrule._TreeSolver(akrule._Index(problem))
     expected = [outcome(scalar.cost, mask) for mask in masks]
+    assert expected == [reference_cost(problem, mask) for mask in masks]
     if ValueError in expected:
         with pytest.raises(ValueError, match="indistinguishable"):
             akrule._TreeSolver(akrule._Index(problem)).costs(masks)
