@@ -28,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -213,18 +213,15 @@ def _partition(labels: Iterable) -> tuple[int, ...]:
     return tuple(blocks[label] for label in labels)
 
 
+def _words(masks: Iterable[int], n_words: int) -> np.ndarray:
+    """Row k holds the k-th mask as n_words uint64 words, the least significant first; read-only."""
+    raw = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
+    return np.frombuffer(raw, "<u8").reshape(-1, n_words)
+
+
 def _bits(masks: Iterable[int], n: int) -> np.ndarray:
     """Row k holds the low n bits of the k-th mask, as 0/1 uint8."""
-    masks = list(masks)
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little").reshape(len(masks), 8 * width)[:, :n]
-
-
-def _words(masks: Iterable[int], n_words: int) -> np.ndarray:
-    """Row k holds the k-th mask as n_words uint64 words, the least significant first."""
-    rows = [[m >> 64 * w & 0xFFFF_FFFF_FFFF_FFFF for w in range(n_words)] for m in masks]
-    return np.array(rows, dtype=np.uint64).reshape(len(rows), n_words)
+    return np.unpackbits(_words(masks, -(-n // 64)).view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def _ints(words: np.ndarray) -> list[int]:
@@ -297,9 +294,9 @@ class _Index:
     in that per-position form, the cells family's atom; ``arg_groups[q]``
     holds the same blocks once each, for the walks over an argument's values.
     The index owns every other view of the problem: one core per family, the
-    solver, the solved ensemble and the block facts both families read.  The
-    views are plain attributes: a ``cached_property`` writes through
-    ``__dict__``, which slows every later attribute read on the instance.
+    solver, the solved ensemble and the blocks' entropy keys.  The views are
+    plain attributes: a ``cached_property`` writes through ``__dict__``,
+    which slows every later attribute read on the instance.
     """
 
     def __init__(self, problem: OracleProblem):
@@ -315,7 +312,7 @@ class _Index:
         self.arg_groups = tuple(tuple(dict.fromkeys(blocks)) for blocks in self.cells)
         self.full_entropy = _entropy(self.counts(self.full))
         self._cores: dict[str, _Core] = {}
-        self._facts: dict[int, tuple[bool, int]] = {}
+        self._keys: dict[int, int] = {}
         self._subsets: dict[int, frozenset[BitString]] = {}
         self._masks: dict[frozenset[BitString], int] = {}
         self._epsilons: dict[int, float] = {}
@@ -373,17 +370,17 @@ class _Index:
             epsilon = self._epsilons[mask] = self.full_entropy - _entropy(self.counts(mask))
         return epsilon
 
-    def facts(self, mask: int) -> tuple[bool, int]:
-        """Whether the block leaves the answer undetermined, and its interned entropy key."""
-        fact = self._facts.get(mask)
-        if fact is None:
+    def key(self, mask: int) -> int:
+        """The block's interned entropy key: equal keys, equal entropies; memoized."""
+        key = self._keys.get(mask)
+        if key is None:
             counts = self.counts(mask)
             key = self._key_of_counts.get(counts)
             if key is None:
                 key = self._key_ids.setdefault(_entropy_key(counts), len(self._key_ids))
                 self._key_of_counts[counts] = key
-            fact = self._facts[mask] = (not self.constant(mask), key)
-        return fact
+            self._keys[mask] = key
+        return key
 
     def core(self, family: str) -> _Core:
         """The family's partition core, built on first use."""
@@ -513,14 +510,15 @@ class _Core:
         when ``complementary`` is on, any two distinct specs when it is off.
         The relation is symmetric, so t partners s exactly when s partners t.
 
-        A bitwise pass over the column drops first every spec whose block
-        lies inside one solution block, and for complementary cells every
-        spec whose complement is dropped or whose block meets its
-        complement's in more than i.  The rest, as {spec: block mask} in spec
-        order, take the exact test above.
+        A bitwise pass over the column keeps exactly the specs whose block
+        leaves the answer open, the blocks not inside i's solution block, and
+        for complementary cells drops every spec whose complement is dropped
+        or whose block meets its complement's in more than i.  The rest, as
+        {spec: block mask} in spec order, are filed by (slot, entropy key);
+        spec s's candidates are those filed at (total - its slot, its key).
         """
         bit = 1 << i
-        column, facts = self.column(i), self.index.facts
+        column, key = self.column(i), self.index.key
         kept = (column & ~_words([self.index.solution[i]], self.n_words)).any(axis=1)
         direct_sum = complementary and self.family == "linear"
         complement = complementary and self.family == "cells"
@@ -530,34 +528,19 @@ class _Core:
             kept &= kept[::-1] & ((column & column[::-1]) == _words([bit], self.n_words)).all(axis=1)
         specs = np.flatnonzero(kept)
         blocks = dict(zip(specs.tolist(), _ints(column[specs])))
-        if complement:
-
-            def candidates(s: int, key: int) -> Iterable[int]:
-                return (len(self) - 1 - s,)
-
-        else:
-            # bucket by (dimension, key); the partner of a direct sum has the
-            # complementary dimension, any other partner may have any
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for t, block in blocks.items():
-                undetermined, key = facts(block)
-                if undetermined:
-                    buckets.setdefault((len(self.keys[t]) if direct_sum else 0, key), []).append(t)
-
-            def candidates(s: int, key: int) -> Iterable[int]:
-                return buckets.get((self.width - len(self.keys[s]) if direct_sum else 0, key), ())
+        # a slot is the spec itself for complements, the dimension for direct
+        # sums (the partner has the complementary one), and 0 for any pairing
+        total = len(self) - 1 if complement else self.width if direct_sum else 0
+        slots = {t: t if complement else len(self.keys[t]) if direct_sum else 0 for t in blocks}
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for t, block in blocks.items():
+            buckets.setdefault((slots[t], key(block)), []).append(t)
 
         def partners(s: int) -> Iterator[int]:
             mine = blocks[s]
-            undetermined, key = facts(mine)
-            if not undetermined:
-                return
-            for t in candidates(s, key):
-                if blocks[t] & mine != bit or t == s or facts(blocks[t]) != (True, key):
-                    continue
-                if direct_sum and self.spans[s] & self.spans[t] != 1:
-                    continue
-                yield t
+            for t in buckets.get((total - slots[s], key(mine)), ()):
+                if blocks[t] & mine == bit and t != s and (not direct_sum or self.spans[s] & self.spans[t] == 1):
+                    yield t
 
         return blocks, partners
 
@@ -614,8 +597,9 @@ def delta_entropy(problem: OracleProblem, subset: Iterable[BitString]) -> float:
 
 def delta_entropy_via_states(problem: OracleProblem, subset: Iterable[BitString]) -> float:
     """The same entropy drop via reduced density operators of projected output states."""
-    out, whole = _index(problem).solved
-    return whole - reduced_entropy(project_setting_subset(out, subset), "A")
+    index = _index(problem)
+    out, whole = index.solved
+    return whole - reduced_entropy(project_setting_subset(out, index.subset(index.mask_of(subset))), "A")
 
 
 # ---------------------------------------------------------------------------
@@ -811,10 +795,10 @@ class _TreeSolver:
 
         Each new mask is checked for decidability first.  One matrix product
         then gives every argument's part sizes and every solution block's
-        size in each mask.  From them come the constant test and the
-        pigeonhole lower bound exactly as ``_cost`` derives them; masks
-        closed at 0 or at |S| - 1 go straight into the memo, and the rest
-        take the scalar recursion.
+        size in each mask.  From them comes the pigeonhole lower bound
+        exactly as ``_cost`` derives it; masks closed at |S| - 1 go straight
+        into the memo, and the rest take the scalar recursion, which returns
+        0 for a constant mask at once.
         """
         masks = list(masks)
         fresh = [m for m in dict.fromkeys(masks) if m not in self._memo]
@@ -829,12 +813,22 @@ class _TreeSolver:
             # lower = ceil((size - block) / (size - largest)) >= size - 1
             elimination = size - largest
             at_upper = (elimination > 0) & (size - block > (size - 2) * elimination)
-            for mask, constant, closed in zip(fresh, (block == size).tolist(), at_upper.tolist()):
-                if constant:
-                    self._memo[mask] = 0
-                elif closed:
+            for mask, closed in zip(fresh, at_upper.tolist()):
+                if closed:
                     self._memo[mask] = mask.bit_count() - 1
         return [self._cost(m, self.args) for m in masks]
+
+    def plays(self, mask: int, args: Iterable[int], true_bit: int) -> bool:
+        """Whether querying the args in turn is optimal play on the mask (see ``optimal_play``)."""
+        for a in args:
+            if self.index.constant(mask):
+                return False  # queried after the answer was already fixed
+            total = self.cost(mask)
+            splits = self._splits(mask, (a,))
+            if not splits or 1 + max(self.cost(part) for part in splits[0][1]) != total:
+                return False
+            mask = next(part for part in splits[0][1] if part & true_bit)
+        return self.index.constant(mask)
 
 
 def decision_tree_cost(problem: OracleProblem, candidates: Iterable[BitString]) -> int:
@@ -847,6 +841,26 @@ def decision_tree_cost(problem: OracleProblem, candidates: Iterable[BitString]) 
     """
     index = _index(problem)
     return index.solver.cost(index.mask_of(candidates))
+
+
+def optimal_play(
+    problem: OracleProblem, subset: Iterable[BitString], queries: Sequence[BitString], true_setting: BitString
+) -> bool:
+    """Whether the queries are optimal play on the candidate subset when true_setting is the setting.
+
+    Each query must split the current candidates and attain the minimax cost;
+    candidates are then filtered by the value the true setting returns.  The
+    transcript must end with the answer determined and no query wasted.
+    Every argument's width is checked before the walk.
+    """
+    for a in queries:
+        if a.width != problem.arg_bits:
+            raise ValueError(f"argument width {a.width} != arg_bits {problem.arg_bits}")
+    index = _index(problem)
+    mask, true_bit = index.mask_of(subset), index.mask_of((true_setting,))
+    if not mask & true_bit:
+        raise ValueError(f"true setting {true_setting} is not a candidate")
+    return index.solver.plays(mask, [a.value for a in queries], true_bit)
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +930,7 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
         instances = _instances(core, i, config.complementary)
         counts: dict[int, tuple[int, ...]] = {}
         for mask in instances:
-            key, mine = index.facts(mask)[1], index.counts(mask)
+            key, mine = index.key(mask), index.counts(mask)
             counts[key] = min(counts.get(key, mine), mine)
         reports.append(
             SettingReport(

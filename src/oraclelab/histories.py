@@ -17,9 +17,9 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .akrule import AkInstance, _index
+from .akrule import AkInstance, optimal_play
 from .circuits import Circuit, _check_problem
-from .oracle import OracleProblem, evaluate
+from .oracle import OracleProblem
 from .qstate import BitString
 
 AMP_FLOOR = 1e-12
@@ -112,38 +112,6 @@ def path_sum(histories: Iterable[History], initial: int, final: int) -> complex:
     return total
 
 
-def _optimal_transcript(
-    problem: OracleProblem,
-    subset: frozenset[BitString],
-    queries: Sequence[BitString],
-    true_setting: BitString,
-) -> bool:
-    """Whether the query sequence is optimal play for the candidate subset.
-
-    Each query must split the current candidates and attain the minimax cost;
-    candidates are then filtered by the value the true setting returns.  The
-    transcript must end with the answer determined and no queries wasted.
-    Candidate sets are the problem index's bitmasks, and a query's groups
-    are its argument's blocks.
-    """
-    index = _index(problem)
-    solver = index.solver
-    candidates = index.mask_of(subset)
-    true_bit = index.mask_of((true_setting,))
-    for a in queries:
-        if index.constant(candidates):
-            return False  # queried after the answer was already fixed
-        total = solver.cost(candidates)
-        evaluate(problem, true_setting, a)  # rejects an argument of the wrong width
-        groups = [g & candidates for g in index.arg_groups[a.value] if g & candidates]
-        if len(groups) < 2:
-            return False
-        if 1 + max(solver.cost(g) for g in groups) != total:
-            return False
-        candidates = next(g for g in groups if g & true_bit)
-    return index.constant(candidates)
-
-
 def classify_history(
     history: History, instances: Iterable[AkInstance], problem: OracleProblem
 ) -> HistoryClassification:
@@ -152,7 +120,7 @@ def classify_history(
     for inst in instances:
         if history.setting not in inst.subset:
             continue
-        if _optimal_transcript(problem, inst.subset, history.query_args, history.setting):
+        if optimal_play(problem, inst.subset, history.query_args, history.setting):
             consistent.append(inst)
     return HistoryClassification(history, tuple(consistent))
 

@@ -137,8 +137,9 @@ class TestSettingCheck:
             akrule.setting_instances,
             lambda problem, b: akrule.decision_tree_cost(problem, [b]),
             lambda problem, b: akrule.delta_entropy(problem, [b]),
+            lambda problem, b: akrule.delta_entropy_via_states(problem, [bits("01"), b]),
         ],
-        ids=["pairs", "instances", "tree-cost", "delta-entropy"],
+        ids=["pairs", "instances", "tree-cost", "delta-entropy", "via-states"],
     )
     def test_unknown_setting_rejected(self, grover2, call, bad):
         with pytest.raises(ValueError, match="unknown setting"):
@@ -645,20 +646,22 @@ class TestColumnsOnDemand:
         problem = ol.build_grover(4)
         core = fresh_core(problem, "cells")
         akrule.predict_queries(problem, AkConfig(family="cells"))
-        assert not core.index._facts
+        assert not core.index._keys
         assert len(core._columns) == 1
 
+    @pytest.mark.parametrize("family", ["cells", "linear"])
     @pytest.mark.parametrize("complementary", [True, False])
     @pytest.mark.parametrize("selector", ["dj:n=2", "simon:n=2", "repeated tables"])
-    def test_bitwise_pass_keeps_exactly_the_specs_that_may_pair(self, selector, complementary):
-        # a block may pair when it leaves the answer open; a complementary cells
-        # block also needs an open complement that it meets in the true setting
-        # only, which with distinct tables it always does
+    def test_bitwise_pass_keeps_exactly_the_specs_that_may_pair(self, selector, complementary, family):
+        # a block may pair when it leaves the answer open, so the pair search
+        # needs no further undetermined test; a complementary cells block also
+        # needs an open complement that it meets in the true setting only,
+        # which with distinct tables it always does
         if selector == "repeated tables":
             problem = solver_problem(2, 1, [0b0000, 0b0000, 0b0011, 0b0101, 0b0101, 0b0110], [0, 1, 0, 1, 0, 1])
         else:
             problem = ol.parse_selector(selector)
-        core = fresh_core(problem, "cells")
+        core = fresh_core(problem, family)
         everything = frozenset(range(1 << problem.arg_bits))
 
         def open_subset(spec, b):
@@ -669,7 +672,7 @@ class TestColumnsOnDemand:
             expected = {}
             for s in range(len(core)):
                 mine = open_subset(core.spec(s), b)
-                if mine is not None and complementary:
+                if mine is not None and complementary and family == "cells":
                     theirs = open_subset(cells_spec(everything - core.spec(s).cells), b)
                     mine = mine if theirs is not None and mine & theirs == {b} else None
                 if mine is not None:

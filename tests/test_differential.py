@@ -181,15 +181,24 @@ def solver_problems(draw):
     """A problem whose tables may repeat, with or without a shared answer, and candidate masks.
 
     Each setting has its own outcome, so any answers are valid; tables come
-    from a small pool so that equal tables are common.
+    from a small pool so that equal tables are common.  Half the draws give
+    every setting its own table and its own answer instead: a set's cost is
+    then the depth that tells all its settings apart, and so it rests on the
+    solver's cut-off for parts with more than fanout ** (best - 2) answers.
     """
     arg_bits = draw(st.integers(1, 3))
     out_bits = draw(st.integers(1, min(arg_bits, 2)))
     size = draw(st.integers(1, 9))
-    pool = draw(st.integers(1, min(size + 2, 1 << (out_bits << arg_bits))))
-    tables = draw(st.lists(st.integers(0, pool - 1), min_size=size, max_size=size))
-    n_answers = draw(st.integers(1, size))
-    answers = draw(st.lists(st.integers(0, n_answers - 1), min_size=size, max_size=size))
+    n_tables = 1 << (out_bits << arg_bits)
+    if draw(st.booleans()):
+        size = min(size, n_tables)
+        tables = draw(st.lists(st.integers(0, n_tables - 1), min_size=size, max_size=size, unique=True))
+        answers = list(range(size))
+    else:
+        pool = draw(st.integers(1, min(size + 2, n_tables)))
+        tables = draw(st.lists(st.integers(0, pool - 1), min_size=size, max_size=size))
+        n_answers = draw(st.integers(1, size))
+        answers = draw(st.lists(st.integers(0, n_answers - 1), min_size=size, max_size=size))
     masks = draw(st.lists(st.integers(1, (1 << size) - 1), min_size=1, max_size=8))
     return solver_problem(arg_bits, out_bits, tables, answers), masks
 

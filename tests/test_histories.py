@@ -213,12 +213,21 @@ class TestOptimalTranscript:
     def test_sequences(self, queries, true, expected):
         problem = ol.build_grover(4)
         args = [bits(q) for q in queries]
-        assert histories._optimal_transcript(problem, self.FLAT, args, bits(true)) is expected
+        assert akrule.optimal_play(problem, self.FLAT, args, bits(true)) is expected
 
     def test_argument_width_checked(self):
         problem = ol.build_grover(4)
         with pytest.raises(ValueError, match="argument width"):
-            histories._optimal_transcript(problem, self.FLAT, [bits("00")], bits("0000"))
+            akrule.optimal_play(problem, self.FLAT, [bits("00")], bits("0000"))
+
+    def test_argument_width_checked_after_a_failing_query(self):
+        # 0100 does not split the flat, so the walk stops there; the check runs before it
+        with pytest.raises(ValueError, match="argument width"):
+            akrule.optimal_play(ol.build_grover(4), self.FLAT, [bits("0100"), bits("00")], bits("0011"))
+
+    def test_true_setting_outside_the_candidates_rejected(self):
+        with pytest.raises(ValueError, match="not a candidate"):
+            akrule.optimal_play(ol.build_grover(4), self.FLAT, [bits("0000")], bits("0100"))
 
 
 class TestSerialization:
