@@ -28,6 +28,12 @@ from .qstate import (
 )
 
 ORACLE_KINDS = ("oracle_xor", "oracle_phase")
+MAX_MATRIX_WIDTH = 10  # a dense stage matrix over 2^10 basis states takes 16 MiB
+
+
+def _check_matrix_width(layout: RegisterLayout) -> None:
+    if layout.state_width > MAX_MATRIX_WIDTH:
+        raise ValueError(f"state width {layout.state_width} exceeds the stage-matrix cap of {MAX_MATRIX_WIDTH}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +58,7 @@ class Stage:
 
     def unitary(self, layout: RegisterLayout, setting: BitString | None = None) -> np.ndarray:
         """The stage matrix for one setting: the kernel applied to the identity columns."""
+        _check_matrix_width(layout)
         identity = np.eye(layout.state_dim)
         return self.act(layout, identity, None if setting is None else (setting,)).T
 
@@ -82,6 +89,8 @@ class Stage:
                 out = np.matmul(block, np.ascontiguousarray(merged).view(np.float64)).view(np.complex128)
             else:
                 out = np.matmul(block, merged)
+            if self.kind == "inversion_about_mean":
+                out = 2.0 * out - merged  # (2/dim) J - I as a rank-one update: the block is the mean row
         elif self.kind == "permutation":
             if len(self.mapping) != dim:
                 raise ValueError(f"permutation {self.label!r} has {len(self.mapping)} values, register {dim}")
@@ -103,7 +112,7 @@ class Stage:
         if self.kind == "hadamard":
             return _hadamard(dim)
         if self.kind == "inversion_about_mean":
-            return 2.0 / dim - np.eye(dim)
+            return np.full((1, dim), 1.0 / dim)
         return self.matrix
 
     def _oracle_xor(self, layout: RegisterLayout, view: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray:
@@ -130,7 +139,19 @@ class Stage:
         arg_width = layout.width(self.register)
         if arg_width != self.problem.arg_bits:
             raise ValueError(f"argument width {arg_width} != arg_bits {self.problem.arg_bits}")
-        return np.array([[entry.value for entry in self.problem.setting(b).table] for b in settings])
+        # the row of each setting id and the (settings x arguments) table, built on first use
+        # and kept on the problem object itself, as the akrule index is
+        problem = self.problem
+        if (cached := getattr(problem, "_oracle_table", None)) is None:
+            cached = ({st.id: i for i, st in enumerate(problem.settings)},
+                      np.array([[entry.value for entry in st.table] for st in problem.settings]))
+            object.__setattr__(problem, "_oracle_table", cached)
+        rows, table = cached
+        try:
+            return table[[rows[b] for b in settings]]
+        except KeyError as missing:
+            problem.setting(missing.args[0])  # raises the unknown-setting error
+            raise
 
 
 def _other_axes(view: np.ndarray, *kept: int) -> tuple[int, ...]:
@@ -267,6 +288,7 @@ def run(circuit: Circuit, ensemble: BranchEnsemble) -> StageTrace:
 
 def composed_unitary(circuit: Circuit, setting: BitString) -> np.ndarray:
     """Product of all stage matrices for one setting (last stage leftmost)."""
+    _check_matrix_width(circuit.layout)
     matrix = np.eye(circuit.layout.state_dim, dtype=np.complex128)
     for stage in circuit.stages:
         matrix = stage.unitary(circuit.layout, setting) @ matrix

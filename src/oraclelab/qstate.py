@@ -218,8 +218,9 @@ class Branch:
 
 
 def _row_norms(amps: np.ndarray) -> list[float]:
-    """Row norms of a C-contiguous complex128 matrix: one square and one sum over its float64 view."""
-    return list(map(math.sqrt, np.add.reduce(np.square(amps.view(np.float64)), axis=1).tolist()))
+    """Row norms of a C-contiguous complex128 matrix: one fused sum of squares over its float64 view."""
+    floats = amps.view(np.float64)
+    return list(map(math.sqrt, np.einsum("ij,ij->i", floats, floats).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +282,15 @@ class BranchEnsemble:
     ) -> "BranchEnsemble":
         settings = tuple(settings)
         rows = np.repeat(state.amplitudes[None], len(settings), axis=0)
+        rows.setflags(write=False)  # a fresh C-contiguous matrix: the constructor keeps it without a copy
         return cls(layout, settings, (1.0 / len(settings),) * len(settings), rows)
+
+    @classmethod
+    def _checked(cls, layout: RegisterLayout, settings: tuple, weights: tuple, amplitudes: np.ndarray) -> "BranchEnsemble":
+        """An ensemble of parts that already passed the constructor's checks, stored as given."""
+        ensemble = object.__new__(cls)
+        ensemble.__dict__.update(layout=layout, settings=settings, weights=weights, amplitudes=amplitudes)
+        return ensemble
 
     @functools.cached_property
     def branches(self) -> tuple[Branch, ...]:
@@ -306,26 +315,27 @@ class OutcomeDistribution:
     width: int
 
     def __post_init__(self) -> None:
-        """The one check: distinct values that fit the width, each p in [-ATOL, 1 + ATOL], the
-        sum 1 within ATOL.  C-level reductions keep it cheap for tiny distributions and large ones alike."""
-        values, probs, width = tuple(self.values), tuple(self.probs), self.width
+        """The one check, on arrays for every input: distinct values that fit the width, each p in
+        [-ATOL, 1 + ATOL], the sum 1 within ATOL."""
+        values, probs, width = np.asarray(self.values), np.asarray(self.probs, dtype=np.float64), self.width
         if len(probs) != len(values):
             raise ValueError(f"{len(probs)} probabilities for {len(values)} outcomes")
-        if any(map(operator.gt, values, values[1:])):
-            values, probs = zip(*sorted(zip(values, probs)))
-        if any(map(operator.eq, values, values[1:])):
-            raise ValueError("outcomes must be distinct")
-        for v in values[:1] + values[-1:]:  # ascending: only the first and the last can fail to fit
+        if not (values[1:] > values[:-1]).all():  # not already ascending and distinct
+            order = np.argsort(values, kind="stable")
+            values, probs = values[order], probs[order]
+            if (values[1:] == values[:-1]).any():
+                raise ValueError("outcomes must be distinct")
+        stored = values.tolist()
+        for v in stored[:1] + stored[-1:]:  # ascending: only the first and the last can fail to fit
             BitString(v, width)  # raises with the constructor's message
-        if probs and (min(probs) < -ATOL or max(probs) > 1.0 + ATOL):
-            for v, p in zip(values, probs):
-                if not -ATOL <= p <= 1.0 + ATOL:
-                    raise ValueError(f"probability {p!r} for outcome {format(v, f'0{width}b')} is out of range")
-        total = sum(probs, 0.0)
+        if probs.size and (probs.min() < -ATOL or probs.max() > 1.0 + ATOL):
+            i = int(((probs < -ATOL) | (probs > 1.0 + ATOL)).argmax())
+            raise ValueError(f"probability {probs[i].item()!r} for outcome {format(stored[i], f'0{width}b')} is out of range")
+        total = probs.sum().item()
         if not abs(total - 1.0) <= ATOL:  # also rejects a NaN anywhere
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "values", tuple(stored))
+        object.__setattr__(self, "probs", tuple(probs.tolist()))
 
     @functools.cached_property
     def entries(self) -> tuple[tuple[BitString, float], ...]:
@@ -377,12 +387,15 @@ def apply_stage(ensemble: BranchEnsemble, stage: StageLike) -> BranchEnsemble:
     if relabel is not None:
         return BranchEnsemble(layout, tuple(map(relabel, settings)), weights, before)
     after = np.ascontiguousarray(stage.act(layout, before, settings), dtype=np.complex128)
-    # the input rows were checked to be unit when the ensemble was made, so |norm - 1| is the drift
+    if after.shape != before.shape:
+        raise ValueError(f"stage {stage.label!r} returned shape {after.shape}, expected {before.shape}")
+    # the one norm pass: the input rows were unit, so |norm - 1| is the drift; the settings
+    # and weights are the checked input's, so the output needs no constructor check
     drift = max(abs(norm - 1.0) for norm in _row_norms(after))
     if drift > ATOL:
         raise ValueError(f"stage {stage.label!r} is not norm-preserving (drift {drift:.3e})")
     after.setflags(write=False)  # the stage's fresh output: the ensemble keeps it without a copy
-    return BranchEnsemble(layout, settings, weights, after)
+    return BranchEnsemble._checked(layout, settings, weights, after)
 
 
 def prepare_setting(ensemble: BranchEnsemble, outcome: BitString) -> BranchEnsemble:
@@ -419,29 +432,26 @@ def measure_register(ensemble: BranchEnsemble, *registers: str) -> OutcomeDistri
     if not registers:
         raise ValueError("need at least one register to measure")
     layout = ensemble.layout
-    probs = np.abs(_tensor(ensemble)) ** 2
-    probs *= _along(ensemble.weights, 0, probs.ndim)
-    # sum over the unmeasured axes; the branch axis stands for the setting register
+    # weight * (re^2 + im^2) in one pass over the float64 view, summed over the unmeasured axes and
+    # laid out in measured order, so C order is ascending value order: branches ascend by setting
+    # value and every other axis by its register value; the branch axis stands for the setting register
     kept = list(dict.fromkeys(0 if n == layout.setting_register else 1 + layout.axis(n) for n in registers))
-    probs = probs.sum(axis=tuple(i for i in range(probs.ndim) if i not in kept), keepdims=True)
-    # every remaining cell has its own outcome value, built register by register
+    floats = ensemble.amplitudes.view(np.float64).reshape((len(ensemble.settings),) + layout.state_shape + (2,))
+    axes = list(range(floats.ndim))
+    probs = np.einsum(np.asarray(ensemble.weights), [0], floats, axes, floats, axes, kept)
+    # every cell has its own outcome value, built register by register
     values = np.zeros(probs.shape, dtype=np.int64)
     total_width = 0
     for name in registers:
         width = layout.width(name)
         if name == layout.setting_register:
-            part = _along([s.value for s in ensemble.settings], 0, probs.ndim)
+            part = _along([s.value for s in ensemble.settings], kept.index(0), probs.ndim)
         else:
-            part = _along(np.arange(1 << width), 1 + layout.axis(name), probs.ndim)
+            part = _along(np.arange(1 << width), kept.index(1 + layout.axis(name)), probs.ndim)
         values = (values << width) | part
         total_width += width
-    # with the kept axes in measured order, C order is ascending value order: branches
-    # ascend by setting value and every other axis by its register value
-    if kept != sorted(kept):
-        order = kept + [i for i in range(probs.ndim) if i not in kept]
-        probs, values = probs.transpose(order), values.transpose(order)
     nonzero = probs > 1e-15
-    return OutcomeDistribution(values[nonzero].tolist(), probs[nonzero].tolist(), total_width)
+    return OutcomeDistribution(values[nonzero], probs[nonzero], total_width)
 
 
 def _along(values, axis: int, ndim: int) -> np.ndarray:
@@ -449,14 +459,17 @@ def _along(values, axis: int, ndim: int) -> np.ndarray:
     return np.reshape(values, [-1 if i == axis else 1 for i in range(ndim)])
 
 
-def _reduced_density(ensemble: BranchEnsemble, register: str) -> np.ndarray:
-    """rho = K K^H in one product, K the sqrt(weight)-scaled branch states with the register
-    axis first and the rest flattened; weights within ATOL below zero count as zero."""
+def _reduced_gram(ensemble: BranchEnsemble, register: str) -> np.ndarray:
+    """K K^H, the register's reduced density operator, or K^H K, with the same nonzero spectrum, when K has
+    fewer columns than rows.  K holds the sqrt(weight)-scaled branch states (real when every imaginary
+    part is exactly zero), register axis first; weights within ATOL below zero count as zero."""
     tensor = _tensor(ensemble)
+    if not tensor.imag.any():
+        tensor = tensor.real
     weights = np.sqrt(np.maximum(ensemble.weights, 0.0))
     kept = np.moveaxis(tensor * _along(weights, 0, tensor.ndim), 1 + ensemble.layout.axis(register), 0)
     kept = kept.reshape(len(kept), -1)
-    return kept @ kept.conj().T
+    return kept @ kept.conj().T if kept.shape[1] >= kept.shape[0] else kept.conj().T @ kept
 
 
 def reduced_entropy(ensemble: BranchEnsemble, register: str) -> float:
@@ -469,7 +482,7 @@ def reduced_entropy(ensemble: BranchEnsemble, register: str) -> float:
     if register == layout.setting_register:
         eigenvalues = np.array(ensemble.weights)
     else:
-        eigenvalues = np.linalg.eigvalsh(_reduced_density(ensemble, register)).real
+        eigenvalues = np.linalg.eigvalsh(_reduced_gram(ensemble, register))
     eigenvalues = eigenvalues[eigenvalues > EIG_FLOOR]
     if eigenvalues.size == 0:
         return 0.0

@@ -170,6 +170,38 @@ def memo_minimax_cost(tables: dict[str, tuple[int, ...]], solutions: dict[str, s
     return best
 
 
+def plain_optimal_play(tables, solutions, candidates, queries, true_setting) -> bool:
+    """Whether querying the arguments in turn is optimal play on the candidates, straight from the definition.
+
+    ``queries`` are argument bit texts and the settings are id texts.  Each
+    query must come while the answer is still open, split the candidates and
+    attain their ``plain_minimax_cost``; the candidates then narrow to those
+    that agree with ``true_setting`` on it.  The answer must be fixed at the
+    end.  Raises ValueError for an argument of the wrong width (checked first)
+    or a true setting outside the candidates; indistinguishable candidates
+    raise as in ``plain_minimax_cost``.
+    """
+    arg_bits = (len(next(iter(tables.values()))) - 1).bit_length()
+    for a in queries:
+        if len(a) != arg_bits:
+            raise ValueError(f"argument width {len(a)} != arg_bits {arg_bits}")
+    if true_setting not in candidates:
+        raise ValueError(f"true setting {true_setting} is not a candidate")
+    candidates = set(candidates)
+    for text in queries:
+        a = int(text, 2)
+        if len({solutions[b] for b in candidates}) == 1:
+            return False  # queried after the answer was already fixed
+        total = plain_minimax_cost(tables, solutions, candidates)
+        groups: dict[int, list[str]] = {}
+        for b in candidates:
+            groups.setdefault(tables[b][a], []).append(b)
+        if len(groups) < 2 or 1 + max(plain_minimax_cost(tables, solutions, g) for g in groups.values()) != total:
+            return False
+        candidates = set(groups[tables[true_setting][a]])
+    return len({solutions[b] for b in candidates}) == 1
+
+
 def reference_stage_matrix(
     registers, setting_register, kind, register, target=None, table=None, mapping=None, matrix=None
 ):

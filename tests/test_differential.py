@@ -42,6 +42,7 @@ from reference_tables import (
     gf2_span,
     memo_minimax_cost,
     plain_minimax_cost,
+    plain_optimal_play,
     reference_specs,
 )
 
@@ -257,6 +258,74 @@ def test_batched_costs_match_scalar_costs(case):
         assert [c if c is ValueError else c[0] for c in singles] == expected
     else:
         assert akrule._TreeSolver(akrule._Index(problem)).costs(masks) == expected
+
+
+@st.composite
+def play_cases(draw):
+    """A solver problem, a candidate mask, a true setting, a transcript of argument texts and
+    whether the transcript is optimal by construction.
+
+    Half the transcripts are walks that end with the answer fixed: while it is
+    open, each query is drawn from the arguments that split the candidates (in
+    half of the walks, only from those that attain the plain minimax cost, so
+    the walk is optimal by construction), and the candidates narrow to the true
+    setting's part.  The rest are random, may hold an argument one bit too wide,
+    and may come with a true setting outside the candidates.  The mask is the
+    first one whose answer is still open, if any, so that most transcripts are
+    not empty.
+    """
+    problem, masks = draw(solver_problems())
+    ids, (tables, solutions) = problem.setting_ids(), definitions(problem)
+    texts_of = {mask: [b.text for k, b in enumerate(ids) if mask >> k & 1] for mask in masks}
+    mask = next((m for m in masks if len({solutions[b] for b in texts_of[m]}) > 1), masks[0])
+    members = texts_of[mask]
+    n_args, texts = 1 << problem.arg_bits, lambda args: [format(a, f"0{problem.arg_bits}b") for a in args]
+    if draw(st.booleans()):
+        optimal = draw(st.booleans())
+        true, candidates, queries = draw(st.sampled_from(members)), members, []
+        try:
+            while len({solutions[b] for b in candidates}) > 1:
+                total = plain_minimax_cost(tables, solutions, candidates)
+                moves = []
+                for a in range(n_args):
+                    groups: dict[int, list[str]] = {}
+                    for b in candidates:
+                        groups.setdefault(tables[b][a], []).append(b)
+                    cost = 1 + max(plain_minimax_cost(tables, solutions, g) for g in groups.values())
+                    if len(groups) > 1 and (cost == total or not optimal):
+                        moves.append((a, groups[tables[true][a]]))
+                a, candidates = draw(st.sampled_from(moves))
+                queries.append(a)
+            return problem, mask, true, texts(queries), optimal
+        except AssertionError:  # indistinguishable candidates: no walk fixes the answer
+            pass
+    true = draw(st.sampled_from([b.text for b in ids] if draw(st.booleans()) else members))
+    queries = texts(draw(st.lists(st.integers(0, n_args - 1), max_size=4)))
+    if queries and draw(st.booleans()):
+        queries[draw(st.integers(0, len(queries) - 1))] += "0"
+    return problem, mask, true, queries, False
+
+
+def verdict(play, *args):
+    """What play returns, or the message it raises with; both sides' indistinguishable errors match."""
+    try:
+        return play(*args)
+    except (ValueError, AssertionError) as exc:
+        return "indistinguishable" if "indistinguishable" in str(exc) else str(exc)
+
+
+@settings(deadline=None)
+@given(case=play_cases())
+# a walk that fixes the answer, but whose first query leaves a costlier part the true setting avoids
+@example(case=(solver_problem(2, 1, [14, 7, 10, 6], [0, 1, 2, 3]), 0b1111, "00", ["10", "11"], False))
+def test_optimal_play_matches_plain_optimal_play(case):
+    problem, mask, true, queries, optimal = case
+    tables, solutions = definitions(problem)
+    subset = [b for k, b in enumerate(problem.setting_ids()) if mask >> k & 1]
+    expected = verdict(plain_optimal_play, tables, solutions, [b.text for b in subset], queries, true)
+    assert expected is True or not optimal
+    args = [BitString.from_text(q) for q in queries]
+    assert verdict(akrule.optimal_play, problem, subset, args, BitString.from_text(true)) == expected
 
 
 @pytest.mark.parametrize("source", ["simon:n=3", "random_seed1.json"])

@@ -5,13 +5,15 @@ and the oracle's argument register before or after its target, so that an
 axis-order mistake in the kernel shows up as a mismatch.
 """
 
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import oraclelab as ol
-from oraclelab import circuits
+from oraclelab import circuits, qstate
 from oraclelab.oracle import OracleProblem, Setting
 from oraclelab.qstate import ATOL, BitString, PureState, RegisterLayout
 
@@ -179,20 +181,32 @@ def check_readouts(case, ensemble, orders):
         assert all(abs(got[k] - expected[k]) <= ATOL for k in got), measured
         values = [o.value for o, _ in dist.entries]
         assert values == sorted(set(values)), measured
+    assert np.allclose(ol.density_matrix(ensemble), reference_density(ensemble), atol=ATOL)
+    for name in case.layout.names:
+        assert abs(ol.reduced_entropy(ensemble, name) - reference_entropy(ensemble, name)) <= 1e-8, name
+
+
+def reference_density(ensemble):
+    """The joint density over all registers, summed branch by branch from the reference joint vectors."""
+    registers, setting = ensemble.layout.registers, ensemble.layout.setting_register
     rho = 0
     for br in ensemble.branches:
         joint = reference_joint_vector(registers, setting, br.setting.value, br.state.amplitudes)
         rho = rho + br.weight * np.outer(joint, joint.conj())
-    assert np.allclose(ol.density_matrix(ensemble), rho, atol=ATOL)
-    dims = [1 << w for _, w in registers]
-    for position, name in enumerate(case.layout.names):
-        # partial trace of the joint density over every other register
-        moved = np.moveaxis(rho.reshape(dims + dims), [position, len(dims) + position], [0, 1])
-        rest = rho.shape[0] // dims[position]
-        reduced = np.trace(moved.reshape(dims[position], dims[position], rest, rest), axis1=2, axis2=3)
-        eig = np.linalg.eigvalsh(reduced)
-        eig = eig[eig > 1e-12]
-        assert abs(ol.reduced_entropy(ensemble, name) - float(-(eig * np.log2(eig)).sum())) <= 1e-8, name
+    return rho
+
+
+def reference_entropy(ensemble, name):
+    """Base-2 entropy of the partial trace of the joint density over every register but one."""
+    rho = reference_density(ensemble)
+    dims = [1 << w for _, w in ensemble.layout.registers]
+    position = ensemble.layout.names.index(name)
+    moved = np.moveaxis(rho.reshape(dims + dims), [position, len(dims) + position], [0, 1])
+    rest = rho.shape[0] // dims[position]
+    reduced = np.trace(moved.reshape(dims[position], dims[position], rest, rest), axis1=2, axis2=3)
+    eig = np.linalg.eigvalsh(reduced)
+    eig = eig[eig > 1e-12]
+    return float(-(eig * np.log2(eig)).sum())
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -231,6 +245,47 @@ def test_readouts_match_reference_with_weights_and_zero_cells(case):
     full = ol.measure_register(ensemble, *names)
     assert len(full.entries) < len(case.settings) * case.layout.state_dim
     assert all(p > 1e-15 for _, p in full.entries)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_rank_one_inversion_equals_the_dense_block(case):
+    rng = np.random.default_rng(13)
+    layout = case.layout
+    rows = rng.normal(size=(4, layout.state_dim)) + 1j * rng.normal(size=(4, layout.state_dim))
+    view = rows.reshape((4,) + layout.state_shape)
+    for name, width in layout.state_registers:
+        dim, axis = 1 << width, 1 + layout.axis(name)
+        dense = np.moveaxis(np.tensordot(2.0 / dim - np.eye(dim), view, axes=([1], [axis])), 0, axis)
+        out = circuits.inversion_about_mean(name).act(layout, rows)
+        assert np.allclose(out, dense.reshape(rows.shape), atol=1e-12, rtol=0.0), name
+
+
+# (registers, branches, register): K, the register's rows by every other axis, is
+# wider than tall in the first case (Gram K K^H) and taller than wide in the others (K^H K)
+GRAM_CASES = [
+    pytest.param((("B", 3), ("A", 2), ("V", 1)), 8, "A", id="more-branches-than-register-dim"),
+    pytest.param((("B", 2), ("A", 4), ("V", 1)), 3, "A", id="fewer-branches-than-register-dim"),
+    pytest.param((("A", 1), ("B", 2), ("V", 3)), 2, "V", id="fewer-branches-setting-in-the-middle"),
+]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("registers, count, name", GRAM_CASES)
+def test_reduced_entropy_on_both_gram_sides(registers, count, name, kind):
+    layout = RegisterLayout(registers, "B")
+    rng = np.random.default_rng(count)
+    rows = rng.normal(size=(count, layout.state_dim))
+    if kind == "complex":
+        rows = rows + 1j * rng.normal(size=rows.shape)
+    ids = sorted(rng.choice(1 << layout.width("B"), size=count, replace=False))
+    settings = [BitString(int(v), layout.width("B")) for v in ids]
+    ensemble = make_ensemble(layout, settings, rows / np.linalg.norm(rows, axis=1, keepdims=True),
+                             rng.dirichlet(np.ones(count)))
+    height = 1 << layout.width(name)
+    gram = qstate._reduced_gram(ensemble, name)
+    assert gram.shape == (min(height, count * layout.state_dim // height),) * 2
+    assert gram.dtype == (np.float64 if kind == "real" else np.complex128)
+    assert abs(ol.reduced_entropy(ensemble, name) - reference_entropy(ensemble, name)) <= 1e-12
 
 
 class TestOutcomeDistribution:
@@ -282,6 +337,20 @@ class TestOutcomeDistribution:
             ol.OutcomeDistribution(values, probs, width)
         assert str(raised.value) == self.MESSAGES[tuple(values), tuple(probs)]
 
+    REJECTIONS = {
+        **MESSAGES,
+        ((0, 1), (1.0,)): "1 probabilities for 2 outcomes",
+        ((3, 1), (1.5, -0.5)): "probability -0.5 for outcome 01 is out of range",
+        ((1, 0), (math.nan, 0.5)): "probabilities sum to nan, not 1",
+    }
+
+    @pytest.mark.parametrize("values, probs, message", [(v, p, m) for (v, p), m in REJECTIONS.items()])
+    def test_tuple_and_array_inputs_raise_one_message(self, values, probs, message):
+        for wrap in (tuple, np.array):
+            with pytest.raises(ValueError) as raised:
+                ol.OutcomeDistribution(wrap(values), wrap(probs), 2)
+            assert str(raised.value) == message, wrap
+
     def test_array_route_equals_the_constructor(self):
         case = make_case(0, "middle", True)
         dist = ol.measure_register(random_ensemble(case, 1), *case.layout.names[::-1])
@@ -319,6 +388,18 @@ class ScalingStage:
         return 1.1 * rows
 
 
+class LastRowStage(ScalingStage):
+    """Scales the last row only, so only a check of every row sees it."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def act(self, layout, rows, settings=None):
+        out = np.array(rows)
+        out[-1] *= self.factor
+        return out
+
+
 class TestApplyStageCallers:
     def test_forwarding_wrapper_is_accepted(self):
         case = make_case(1, "middle", True)
@@ -332,6 +413,31 @@ class TestApplyStageCallers:
         case = make_case(2, "first", False)
         with pytest.raises(ValueError, match="norm-preserving"):
             ol.apply_stage(random_ensemble(case, 2), ScalingStage())
+
+    def test_one_row_drift_raises(self):
+        case = make_case(1, "middle", True)
+        ensemble = random_ensemble(case, 2)
+        assert len(ensemble.settings) > 1
+        with pytest.raises(ValueError, match="not norm-preserving"):
+            ol.apply_stage(ensemble, LastRowStage(1.0 + 1e-8))
+
+    def test_output_is_what_the_constructor_makes(self):
+        """The one norm pass keeps drift within ATOL, and the output needs no second check."""
+        case = make_case(1, "middle", True)
+        ensemble = random_ensemble(case, 2)
+        out = ol.apply_stage(ensemble, LastRowStage(1.0 + 1e-10))
+        rebuilt = ol.BranchEnsemble(out.layout, out.settings, out.weights, out.amplitudes)
+        assert ol.ensembles_close(out, rebuilt, atol=0.0) and out.settings is ensemble.settings
+        assert not out.amplitudes.flags.writeable and out.amplitudes.flags.c_contiguous
+
+    def test_wrong_shape_raises(self):
+        class Truncating(ScalingStage):
+            def act(self, layout, rows, settings=None):
+                return rows[:, :-1]
+
+        case = make_case(2, "first", False)
+        with pytest.raises(ValueError, match="returned shape"):
+            ol.apply_stage(random_ensemble(case, 2), Truncating())
 
 
 def bits(text):
@@ -389,6 +495,19 @@ class TestKernelErrors:
             ol.apply_stage(single(layout, bits("101")), circuits.oracle_xor(grover2))
         with pytest.raises(ValueError, match="unknown setting"):
             circuits.oracle_phase(grover2).unitary(layout, bits("101"))
+
+    def test_matrix_cap(self, grover2):
+        wide = RegisterLayout((("B", 2), ("A", 10), ("V", 1)), "B")
+        circuit = circuits.make_circuit("wide", wide, grover2, (circuits.hadamard("A"),))
+        message = f"state width 11 exceeds the stage-matrix cap of {circuits.MAX_MATRIX_WIDTH}"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            circuits.hadamard("A").unitary(wide)
+        with pytest.raises(ValueError, match=message):
+            circuits.composed_unitary(circuit, bits("01"))
+        assert time.perf_counter() - start < 1.0
+        at_cap = RegisterLayout((("B", 2), ("A", 10)), "B")
+        assert circuits.bitwise_not("A").unitary(at_cap).shape == (1024, 1024)
 
     def test_relabeling_stage_has_no_matrix(self):
         with pytest.raises(ValueError, match="relabels"):
