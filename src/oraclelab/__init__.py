@@ -43,7 +43,6 @@ from .oracle import (
     build_grover,
     build_simon,
     evaluate,
-    input_ensemble,
     load_problem,
     output_ensemble,
     parse_selector,

@@ -302,13 +302,12 @@ class _Index:
     def __init__(self, problem: OracleProblem):
         self.problem = problem
         self.ids = problem.setting_ids()
-        self.position = {b.value: i for i, b in enumerate(self.ids)}
         self.full = (1 << len(self.ids)) - 1
         settings = problem.settings
         self.outcome = _partition(st.a_outcome.value for st in settings)
         self.solution = _partition(st.solution for st in settings)
-        self.tables = _partition(tuple(e.value for e in st.table) for st in settings)
-        self.cells = tuple(_partition(st.table[q].value for st in settings) for q in range(1 << problem.arg_bits))
+        self.tables = _partition(map(tuple, problem.values.tolist()))
+        self.cells = tuple(map(_partition, problem.values.T.tolist()))
         self.arg_groups = tuple(tuple(dict.fromkeys(blocks)) for blocks in self.cells)
         self.full_entropy = _entropy(self.counts(self.full))
         self._cores: dict[str, _Core] = {}
@@ -330,12 +329,9 @@ class _Index:
             mask = self._masks.get(settings)
             if mask is not None:
                 return mask
-        mask = 0
+        mask, row = 0, self.problem.row
         for b in settings:
-            i = self.position.get(b.value)
-            if i is None or self.ids[i] != b:
-                raise ValueError(f"unknown setting {b} for problem {self.problem.name!r}")
-            mask |= 1 << i
+            mask |= 1 << row(b)
         if not mask:
             raise ValueError("empty subset")
         return mask
@@ -877,7 +873,8 @@ def _translations(index: _Index) -> tuple[int, ...]:
     ids[0] ^ v.  The kept shifts form a group, {0} when there is no
     symmetry, so one test decides a whole coset of the group found so far.
     """
-    values = [b.value for b in index.ids]
+    rows = index.problem.rows
+    values = list(rows)
     outcome, solution = frozenset(index.outcome), frozenset(index.solution)
     args = Counter(frozenset(groups) for groups in index.arg_groups)
     kept, decided = [0], {0}
@@ -886,7 +883,7 @@ def _translations(index: _Index) -> tuple[int, ...]:
             continue
         coset = [t ^ u for u in kept]
         decided.update(coset)
-        perm = [index.position.get(v ^ t) for v in values]
+        perm = [rows.get(v ^ t) for v in values]
         if None in perm:
             continue
 
@@ -925,7 +922,7 @@ def predict_queries(problem: OracleProblem, config: AkConfig | None = None) -> Q
         representative = min(b_star.value ^ t for t in shifts)
         if representative < b_star.value:
             # ids ascend, so the representative's report is already made
-            reports.append(replace(reports[index.position[representative]], setting=b_star))
+            reports.append(replace(reports[problem.rows[representative]], setting=b_star))
             continue
         instances = _instances(core, i, config.complementary)
         counts: dict[int, tuple[int, ...]] = {}

@@ -139,19 +139,8 @@ class Stage:
         arg_width = layout.width(self.register)
         if arg_width != self.problem.arg_bits:
             raise ValueError(f"argument width {arg_width} != arg_bits {self.problem.arg_bits}")
-        # the row of each setting id and the (settings x arguments) table, built on first use
-        # and kept on the problem object itself, as the akrule index is
         problem = self.problem
-        if (cached := getattr(problem, "_oracle_table", None)) is None:
-            cached = ({st.id: i for i, st in enumerate(problem.settings)},
-                      np.array([[entry.value for entry in st.table] for st in problem.settings]))
-            object.__setattr__(problem, "_oracle_table", cached)
-        rows, table = cached
-        try:
-            return table[[rows[b] for b in settings]]
-        except KeyError as missing:
-            problem.setting(missing.args[0])  # raises the unknown-setting error
-            raise
+        return problem.values[[problem.row(b) for b in settings]]
 
 
 def _other_axes(view: np.ndarray, *kept: int) -> tuple[int, ...]:
@@ -358,7 +347,7 @@ def derive_a_outcome(circuit: Circuit, problem: OracleProblem, b: BitString) -> 
     circuit does not leave a sharp per-setting outcome for this problem.
     """
     _check_problem(circuit, problem)
-    problem.setting(b)
+    problem.row(b)
     branch = prepare_setting(initial_ensemble(circuit), b)
     dist = measure_register(run(circuit, branch).final, "A")
     p = max(dist.probs)

@@ -23,7 +23,7 @@ def _setting(problem: oracle.OracleProblem, text: str) -> BitString:
         raise ValueError(
             f"setting {text!r} has width {bits.width}; this problem uses {problem.setting_width} bits"
         )
-    problem.setting(bits)
+    problem.row(bits)
     return bits
 
 

@@ -55,7 +55,7 @@ def enumerate_histories(
     with magnitude at most ``AMP_FLOOR`` do not branch.
     """
     _check_problem(circuit, problem)
-    problem.setting(b)
+    problem.row(b)
     layout = circuit.layout
     matrices = [stage.unitary(layout, b) for stage in circuit.stages]
     if v_branch == "both":

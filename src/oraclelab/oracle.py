@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .qstate import MAX_TOTAL_WIDTH, BranchEnsemble, BitString, PureState, RegisterLayout
+from .qstate import MAX_TOTAL_WIDTH, BranchEnsemble, BitString, RegisterLayout
 
 FAMILIES = ("cells", "linear")
 
@@ -42,11 +42,16 @@ class Setting:
 
 @dataclass(frozen=True)
 class OracleProblem:
+    """Settings in ascending id order.  Built with the problem: ``rows`` maps an id value
+    to its row, and the read-only int array ``values`` holds f_b(a) at ``values[row(b), a]``."""
+
     name: str
     arg_bits: int
     out_bits: int
     settings: tuple[Setting, ...]
     default_family: str
+    rows: dict[int, int] = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arg_bits < 1:
@@ -64,14 +69,14 @@ class OracleProblem:
         table_len = 1 << self.arg_bits
         id_width = ordered[0].id.width
         outcome_width = ordered[0].a_outcome.width
-        seen: set[int] = set()
+        rows: dict[int, int] = {}
         outcome_solution: dict[int, str] = {}
         for st in ordered:
             if st.id.width != id_width:
                 raise ValueError(f"setting {st.id}: id widths differ across settings")
-            if st.id.value in seen:
+            if st.id.value in rows:
                 raise ValueError(f"duplicate setting id {st.id}")
-            seen.add(st.id.value)
+            rows[st.id.value] = len(rows)
             if len(st.table) != table_len:
                 raise ValueError(
                     f"setting {st.id}: table has {len(st.table)} entries, expected {table_len}"
@@ -92,11 +97,14 @@ class OracleProblem:
         if len(sizes) > 1:
             detail = ", ".join(str(c) for c in sorted(blocks.values()))
             raise ValueError(f"outcome blocks must have equal sizes, got sizes {detail}")
-        object.__setattr__(self, "_lookup", {st.id.value: st for st in ordered})
+        values = np.array([[entry.value for entry in st.table] for st in ordered], dtype=np.int64)
+        values.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "values", values)
 
     def __reduce__(self):
-        # rebuild through __init__, so pickles and copies carry the fields but
-        # none of the views cached on this object
+        # rebuild through __init__, so pickles and copies carry the fields and
+        # build their own rows and values, but none of the views cached on this object
         return type(self), (self.name, self.arg_bits, self.out_bits, self.settings, self.default_family)
 
     @property
@@ -110,11 +118,15 @@ class OracleProblem:
     def setting_ids(self) -> tuple[BitString, ...]:
         return tuple(st.id for st in self.settings)
 
-    def setting(self, b: BitString) -> Setting:
-        st = self._lookup.get(b.value)
-        if st is None or st.id.width != b.width:
+    def row(self, b: BitString) -> int:
+        """The setting's row; the one check that a setting belongs to the problem."""
+        i = self.rows.get(b.value)
+        if i is None or self.settings[i].id.width != b.width:
             raise ValueError(f"unknown setting {b} for problem {self.name!r}")
-        return st
+        return i
+
+    def setting(self, b: BitString) -> Setting:
+        return self.settings[self.row(b)]
 
 
 def evaluate(problem: OracleProblem, b: BitString, a: "BitString | int") -> BitString:
@@ -348,13 +360,6 @@ def problem_layout(problem: OracleProblem, include_v: bool = False) -> RegisterL
     if include_v:
         registers.append(("V", problem.out_bits))
     return RegisterLayout(tuple(registers), "B")
-
-
-def input_ensemble(problem: OracleProblem) -> BranchEnsemble:
-    """Uniform mixture over settings with the answer register cleared."""
-    layout = problem_layout(problem)
-    state = PureState.basis(layout, {"A": 0})
-    return BranchEnsemble.uniform(layout, problem.setting_ids(), state)
 
 
 def output_ensemble(problem: OracleProblem) -> BranchEnsemble:

@@ -142,7 +142,7 @@ class TestSettingCheck:
         ids=["pairs", "instances", "tree-cost", "delta-entropy", "via-states"],
     )
     def test_unknown_setting_rejected(self, grover2, call, bad):
-        with pytest.raises(ValueError, match="unknown setting"):
+        with pytest.raises(ValueError, match=f"^unknown setting {bad} for problem 'grover'$"):
             call(grover2, bad)
 
     def test_one_index_per_problem(self, grover2):
@@ -220,9 +220,10 @@ class TestIndexMemo:
         assert index._masks
         member = grover2.setting_ids()[0]
         for bad in (BitString(4, 3), BitString(1, 3)):
-            with pytest.raises(ValueError, match="unknown setting"):
+            message = f"^unknown setting {bad} for problem 'grover'$"
+            with pytest.raises(ValueError, match=message):
                 index.mask_of(frozenset({member, bad}))
-            with pytest.raises(ValueError, match="unknown setting"):
+            with pytest.raises(ValueError, match=message):
                 akrule.decision_tree_cost(grover2, frozenset({bad}))
         with pytest.raises(ValueError, match="empty subset"):
             index.mask_of(frozenset())

@@ -17,10 +17,15 @@ setting per orbit of the problem's xor-translation symmetries, must equal a
 report assembled setting by setting from ``setting_instances``,
 ``decision_tree_cost`` and ``delta_entropy``, epsilons included to the last
 bit, on the built-ins, on generated problems and on generated problems with
-a planted xor covariance.
+a planted xor covariance.  The problem's int table ``values`` and its row
+map must agree with ``evaluate`` and the settings' order on every built-in,
+the golden random problem and generated problems, and survive pickling,
+copying and ``replace``.
 """
 
+import copy
 import functools
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
@@ -518,3 +523,34 @@ def test_orbit_reduced_predict_matches_unreduced_with_planted_symmetry(case, fam
     found = akrule._translations(akrule._index(problem))
     assert set(shifts) <= set(found)
     assert_reduction_exact(problem, family, complementary)
+
+
+def assert_table_matches_definition(problem):
+    values, ids = problem.values, problem.setting_ids()
+    assert values.shape == (len(ids), 1 << problem.arg_bits)
+    assert not values.flags.writeable
+    for i, b in enumerate(ids):
+        assert problem.row(b) == i
+        for a in range(1 << problem.arg_bits):
+            assert values[problem.row(b), a] == ol.evaluate(problem, b, a).value
+    for again in (pickle.loads(pickle.dumps(problem)), copy.copy(problem), replace(problem)):
+        assert again.values is not values and (again.values == values).all()
+        assert again.rows == problem.rows
+
+
+@pytest.mark.parametrize(
+    "source",
+    [f"grover:n={n}" for n in (1, 2, 3, 4, 5, 6, 8)]
+    + ["dj:n=1", "dj:n=2", "simon:n=2", "simon:n=3", "random_seed1.json"],
+)
+def test_values_and_rows_match_the_definition_on_builtins(source):
+    if source.endswith(".json"):
+        problem = ol.load_problem((Path(__file__).parent / "golden" / source).read_text())
+    else:
+        problem = ol.parse_selector(source)
+    assert_table_matches_definition(problem)
+
+
+@given(case=generated_problems())
+def test_values_and_rows_match_the_definition_on_generated_problems(case):
+    assert_table_matches_definition(case[0])

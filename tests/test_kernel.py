@@ -490,11 +490,14 @@ class TestKernelErrors:
             ol.apply_stage(single(layout, b), circuits.oracle_phase(simon3))
 
     def test_branch_setting_not_in_problem(self, grover2):
+        # an absent id, and a wrong-width id whose value is one of the problem's
         layout = RegisterLayout((("B", 3), ("A", 2), ("V", 1)), "B")
-        with pytest.raises(ValueError, match="unknown setting"):
-            ol.apply_stage(single(layout, bits("101")), circuits.oracle_xor(grover2))
-        with pytest.raises(ValueError, match="unknown setting"):
-            circuits.oracle_phase(grover2).unitary(layout, bits("101"))
+        for bad in (bits("101"), BitString(1, 3)):
+            message = f"^unknown setting {bad} for problem 'grover'$"
+            with pytest.raises(ValueError, match=message):
+                ol.apply_stage(single(layout, bad), circuits.oracle_xor(grover2))
+            with pytest.raises(ValueError, match=message):
+                circuits.oracle_phase(grover2).unitary(layout, bad)
 
     def test_matrix_cap(self, grover2):
         wide = RegisterLayout((("B", 2), ("A", 10), ("V", 1)), "B")

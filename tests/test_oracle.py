@@ -370,13 +370,6 @@ class TestSelectors:
 
 
 class TestEnsembles:
-    def test_input_ensemble_is_uniform_cleared(self, grover2):
-        ensemble = ol.input_ensemble(grover2)
-        assert len(ensemble.branches) == 4
-        for br in ensemble.branches:
-            assert abs(br.weight - 0.25) <= 1e-12
-            assert br.state.amplitudes[0] == 1.0
-
     def test_output_ensemble_carries_outcomes(self, simon2):
         ensemble = ol.output_ensemble(simon2)
         for br in ensemble.branches:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oraclelab as ol
 from oraclelab import circuits
+from oraclelab.oracle import problem_layout
 from oraclelab.qstate import (
     ATOL,
     BitString,
@@ -220,7 +221,8 @@ class TestApplyStage:
     def test_not_preparation_leaves_uniform_mixtures_unchanged(self):
         # relabeling by bitwise NOT permutes the branches of a uniform mixture
         for problem in (ol.build_grover(2), ol.build_dj(2), ol.build_simon(2)):
-            ensemble = ol.input_ensemble(problem)
+            layout = problem_layout(problem)
+            ensemble = BranchEnsemble.uniform(layout, problem.setting_ids(), PureState.basis(layout, {"A": 0}))
             relabeled = ol.apply_stage(ensemble, circuits.bitwise_not("B"))
             assert ol.ensembles_close(relabeled, ensemble)
 
